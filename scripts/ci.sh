@@ -32,11 +32,13 @@ fi
 # ASan/UBSan over the layers with the most concurrency and raw-pointer
 # traffic: the fabric op pipeline, the transaction stack, the chaos
 # harness (which exercises every engine's fault paths), and the
-# congestion/load-driver layer (virtual-time queueing + histogram math).
+# congestion/load-driver layer (virtual-time queueing + histogram math),
+# and the storage replicas, which keep redo as offsets into byte logs.
 SAN_TESTS=(net_test fabric_pipeline_test txn_test concurrency_test chaos_test
            congestion_test load_driver_test histogram_test degrade_test
            shared_log_test log_backend_parity_test parallel_sim_test
-           slo_controller_test memnode_executor_test membership_test)
+           slo_controller_test memnode_executor_test membership_test
+           storage_services_test quorum_property_test)
 
 echo "==> sanitizer pass: ${SAN_TESTS[*]}"
 cmake -B build-asan -S . \

@@ -104,7 +104,7 @@ class XlogSink : public LogSink {
 
   Result<Lsn> Append(NetContext* ctx,
                      const std::vector<LogRecord>& records) override {
-    return client_->Append(ctx, records);
+    return client_->Append(ctx, LogRecord::EncodeBatch(records));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_->ReadFrom(ctx, 0, ~0ull);
@@ -134,12 +134,13 @@ class MultiLogSink : public LogSink {
 
   Result<Lsn> Append(NetContext* ctx,
                      const std::vector<LogRecord>& records) override {
+    const std::string batch = LogRecord::EncodeBatch(records);
     std::vector<NetContext> branch(nodes_.size(), ctx->Fork());
     int acks = 0;
     Lsn lsn = kInvalidLsn;
     for (size_t i = 0; i < nodes_.size(); i++) {
       LogStoreClient client(fabric_, nodes_[i]);
-      auto r = client.Append(&branch[i], records);
+      auto r = client.Append(&branch[i], batch);
       if (r.ok()) {
         acks++;
         lsn = std::max(lsn, *r);
@@ -313,10 +314,11 @@ Status AuroraDb::OnCommit(NetContext* ctx,
   if (segment_ == nullptr && !records.empty()) {
     // Shared-log mode: the log fleet is dumb storage, so redo reaches the
     // page-materialization replicas here (parallel fan-out, all copies).
+    const std::string batch = LogRecord::EncodeBatch(records);
     std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
     for (size_t i = 0; i < page_nodes_.size(); i++) {
       PageStoreClient client(fabric_, page_nodes_[i]);
-      DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], records).status());
+      DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
     }
     JoinParallel(ctx, branch.data(), branch.size());
   }
@@ -450,10 +452,11 @@ Status SocratesDb::PropagateLogs(NetContext* ctx) {
   DISAGG_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
                           sink_->ReadFrom(ctx, propagated_lsn_));
   if (records.empty()) return Status::OK();
+  const std::string batch = LogRecord::EncodeBatch(records);
   std::vector<NetContext> branch(page_nodes_.size(), ctx->Fork());
   for (size_t i = 0; i < page_nodes_.size(); i++) {
     PageStoreClient client(fabric_, page_nodes_[i]);
-    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], records).status());
+    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i], batch).status());
   }
   JoinParallel(ctx, branch.data(), branch.size());
   propagated_lsn_ = records.back().lsn;
@@ -554,7 +557,8 @@ Status TaurusDb::OnCommit(NetContext* ctx,
   size_t i = 0;
   for (auto& [store, batch] : by_store) {
     PageStoreClient client(fabric_, page_nodes_[store]);
-    DISAGG_RETURN_NOT_OK(client.ApplyLog(&branch[i++], batch).status());
+    DISAGG_RETURN_NOT_OK(
+        client.ApplyLog(&branch[i++], LogRecord::EncodeBatch(batch)).status());
   }
   JoinParallel(ctx, branch.data(), branch.size());
   // Each page's home store now holds its redo; freshest-wins fetches plus

@@ -1,13 +1,17 @@
 #include "storage/log_record.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace disagg {
 
 size_t LogRecord::EncodedSize() const {
-  std::string tmp;
-  EncodeTo(&tmp);
-  return tmp.size();
+  return VarintLength(lsn) + VarintLength(prev_lsn) + VarintLength(txn_id) +
+         1 + VarintLength(page_id) + VarintLength(slot) +
+         VarintLength(row_key) + VarintLength(compensates_lsn) +
+         VarintLength(payload.size()) + payload.size() +
+         VarintLength(undo_payload.size()) + undo_payload.size();
 }
 
 void LogRecord::EncodeTo(std::string* dst) const {
@@ -23,30 +27,63 @@ void LogRecord::EncodeTo(std::string* dst) const {
   PutLengthPrefixedSlice(dst, undo_payload);
 }
 
-Result<LogRecord> LogRecord::DecodeFrom(Slice* input) {
-  LogRecord rec;
+namespace {
+
+// Parses every field except the two row images, which are returned as
+// slices into `input`.
+Status DecodeFields(Slice* input, LogRecord* rec, Slice* payload,
+                    Slice* undo) {
   uint64_t tmp = 0;
-  if (!GetVarint64(input, &rec.lsn)) return Status::Corruption("lsn");
-  if (!GetVarint64(input, &rec.prev_lsn)) return Status::Corruption("prev");
-  if (!GetVarint64(input, &rec.txn_id)) return Status::Corruption("txn");
+  if (!GetVarint64(input, &rec->lsn)) return Status::Corruption("lsn");
+  if (!GetVarint64(input, &rec->prev_lsn)) return Status::Corruption("prev");
+  if (!GetVarint64(input, &rec->txn_id)) return Status::Corruption("txn");
   if (input->empty()) return Status::Corruption("type");
-  rec.type = static_cast<LogType>((*input)[0]);
+  rec->type = static_cast<LogType>((*input)[0]);
   input->remove_prefix(1);
-  if (!GetVarint64(input, &rec.page_id)) return Status::Corruption("page");
+  if (!GetVarint64(input, &rec->page_id)) return Status::Corruption("page");
   if (!GetVarint64(input, &tmp)) return Status::Corruption("slot");
-  rec.slot = static_cast<uint16_t>(tmp);
-  if (!GetVarint64(input, &rec.row_key)) return Status::Corruption("row_key");
-  if (!GetVarint64(input, &rec.compensates_lsn)) {
+  rec->slot = static_cast<uint16_t>(tmp);
+  if (!GetVarint64(input, &rec->row_key)) {
+    return Status::Corruption("row_key");
+  }
+  if (!GetVarint64(input, &rec->compensates_lsn)) {
     return Status::Corruption("compensates_lsn");
   }
-  Slice payload, undo;
-  if (!GetLengthPrefixedSlice(input, &payload)) {
+  if (!GetLengthPrefixedSlice(input, payload)) {
     return Status::Corruption("payload");
   }
-  if (!GetLengthPrefixedSlice(input, &undo)) return Status::Corruption("undo");
+  if (!GetLengthPrefixedSlice(input, undo)) return Status::Corruption("undo");
+  return Status::OK();
+}
+
+// Trusting a batch's count for a reservation would let a malformed batch ask
+// for an arbitrary allocation; every record takes at least one byte, so the
+// remaining input bounds the useful reservation.
+size_t ReserveFor(uint64_t n, Slice rest) {
+  return static_cast<size_t>(std::min<uint64_t>(n, rest.size()));
+}
+
+}  // namespace
+
+Result<LogRecord> LogRecord::DecodeFrom(Slice* input) {
+  LogRecord rec;
+  Slice payload, undo;
+  DISAGG_RETURN_NOT_OK(DecodeFields(input, &rec, &payload, &undo));
   rec.payload = payload.ToString();
   rec.undo_payload = undo.ToString();
   return rec;
+}
+
+Result<EncodedRecord> LogRecord::ParseFrom(Slice* input) {
+  const char* begin = input->data();
+  LogRecord rec;
+  Slice payload, undo;
+  DISAGG_RETURN_NOT_OK(DecodeFields(input, &rec, &payload, &undo));
+  EncodedRecord out;
+  out.lsn = rec.lsn;
+  out.page_id = rec.page_id;
+  out.bytes = Slice(begin, static_cast<size_t>(input->data() - begin));
+  return out;
 }
 
 std::string LogRecord::EncodeBatch(const std::vector<LogRecord>& records) {
@@ -60,13 +97,26 @@ Result<std::vector<LogRecord>> LogRecord::DecodeBatch(Slice input) {
   uint64_t n = 0;
   if (!GetVarint64(&input, &n)) return Status::Corruption("batch count");
   std::vector<LogRecord> out;
-  out.reserve(n);
+  out.reserve(ReserveFor(n, input));
   for (uint64_t i = 0; i < n; i++) {
     auto rec = DecodeFrom(&input);
     if (!rec.ok()) return rec.status();
     out.push_back(std::move(rec).value());
   }
   return out;
+}
+
+Status LogRecord::SplitBatch(Slice input, std::vector<EncodedRecord>* out) {
+  out->clear();
+  uint64_t n = 0;
+  if (!GetVarint64(&input, &n)) return Status::Corruption("batch count");
+  out->reserve(ReserveFor(n, input));
+  for (uint64_t i = 0; i < n; i++) {
+    auto rec = ParseFrom(&input);
+    if (!rec.ok()) return rec.status();
+    out->push_back(*rec);
+  }
+  return Status::OK();
 }
 
 Status ApplyRedo(Page* page, const LogRecord& record) {

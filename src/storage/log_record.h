@@ -27,6 +27,14 @@ enum class LogType : uint8_t {
   kClr = 8,         // compensation record written during undo
 };
 
+/// One record still in its wire encoding: the fields replicas index by, and
+/// the whole encoded record, pointing into the buffer it was parsed from.
+struct EncodedRecord {
+  Lsn lsn = kInvalidLsn;
+  PageId page_id = kInvalidPageId;
+  Slice bytes;
+};
+
 /// A single write-ahead-log record. This is the unit Aurora ships over the
 /// network instead of pages ("the log is the database") and the unit PilotDB
 /// writes to the PM tier with one-sided RDMA.
@@ -51,9 +59,17 @@ struct LogRecord {
   void EncodeTo(std::string* dst) const;
   static Result<LogRecord> DecodeFrom(Slice* input);
 
-  /// Encodes a batch of records into one buffer (group shipping).
+  /// Checks the record at the front of `input` as DecodeFrom does and
+  /// advances past it, without copying its row images.
+  static Result<EncodedRecord> ParseFrom(Slice* input);
+
+  /// Encodes a batch of records into one buffer (group shipping): a varint
+  /// record count followed by that many encoded records.
   static std::string EncodeBatch(const std::vector<LogRecord>& records);
   static Result<std::vector<LogRecord>> DecodeBatch(Slice input);
+  /// Splits an encoded batch into its records without decoding them.
+  /// Rejects exactly the batches DecodeBatch rejects.
+  static Status SplitBatch(Slice input, std::vector<EncodedRecord>* out);
 };
 
 /// Applies a redo record to a page. Idempotent: records at or below the

@@ -1,6 +1,9 @@
 #include "storage/log_store.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
+#include "common/logging.h"
 
 namespace disagg {
 
@@ -43,29 +46,49 @@ Lsn LogStoreService::durable_lsn() const {
 
 size_t LogStoreService::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return index_.size();
+}
+
+size_t LogStoreService::FirstAfterLocked(Lsn from) const {
+  return std::upper_bound(index_.begin(), index_.end(), from,
+                          [](Lsn lsn, const IndexEntry& e) {
+                            return lsn < e.lsn;
+                          }) -
+         index_.begin();
+}
+
+size_t LogStoreService::OffsetLocked(size_t i) const {
+  return i == index_.size() ? log_.size() : index_[i].offset;
 }
 
 std::vector<LogRecord> LogStoreService::SnapshotFrom(Lsn from_exclusive) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<LogRecord> out;
-  for (const LogRecord& r : records_) {
-    if (r.lsn > from_exclusive) out.push_back(r);
+  const size_t first = FirstAfterLocked(from_exclusive);
+  const size_t begin = OffsetLocked(first);
+  Slice in(log_.data() + begin, log_.size() - begin);
+  out.reserve(index_.size() - first);
+  while (!in.empty()) {
+    auto rec = LogRecord::DecodeFrom(&in);
+    DISAGG_CHECK(rec.ok());  // validated when it arrived
+    out.push_back(std::move(rec).value());
   }
   return out;
 }
 
 Status LogStoreService::HandleAppend(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (LogRecord& r : *batch) {
+  // The whole batch is checked before anything is stored, so a malformed
+  // one leaves the log as it was.
+  DISAGG_RETURN_NOT_OK(LogRecord::SplitBatch(req, &batch_));
+  for (const EncodedRecord& r : batch_) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
     durable_lsn_ = r.lsn;
-    records_.push_back(std::move(r));
+    index_.push_back({r.lsn, log_.size()});
+    log_.append(r.bytes.data(), r.bytes.size());
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
+  sctx->ChargeCompute(kAppendNsPerRecord * batch_.size());
   resp->clear();
   PutVarint64(resp, durable_lsn_);
   return Status::OK();
@@ -77,18 +100,15 @@ Status LogStoreService::HandleRead(Slice req, std::string* resp,
   if (!GetVarint64(&req, &from) || !GetVarint64(&req, &max_records)) {
     return Status::InvalidArgument("malformed log.read");
   }
-  std::vector<LogRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const LogRecord& r : records_) {
-      if (r.lsn > from) {
-        out.push_back(r);
-        if (out.size() >= max_records) break;
-      }
-    }
-    sctx->ChargeCompute(kScanNsPerRecord * records_.size());
-  }
-  *resp = LogRecord::EncodeBatch(out);
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t first = FirstAfterLocked(from);
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(max_records, index_.size() - first));
+  const size_t begin = OffsetLocked(first);
+  resp->clear();
+  PutVarint64(resp, n);
+  resp->append(log_, begin, OffsetLocked(first + n) - begin);
+  sctx->ChargeCompute(kScanNsPerRecord * index_.size());
   return Status::OK();
 }
 
@@ -109,21 +129,19 @@ Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
     return Status::InvalidArgument("malformed log.truncate");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> kept;
-  for (LogRecord& r : records_) {
-    if (r.lsn > up_to) kept.push_back(std::move(r));
-  }
-  sctx->ChargeCompute(kScanNsPerRecord * records_.size());
-  records_ = std::move(kept);
+  sctx->ChargeCompute(kScanNsPerRecord * index_.size());
+  const size_t cut = FirstAfterLocked(up_to);
+  const size_t bytes = OffsetLocked(cut);
+  log_.erase(0, bytes);
+  index_.erase(index_.begin(), index_.begin() + cut);
+  for (IndexEntry& e : index_) e.offset -= bytes;
   resp->clear();
   return Status::OK();
 }
 
-Result<Lsn> LogStoreClient::Append(NetContext* ctx,
-                                   const std::vector<LogRecord>& records) {
-  const std::string req = LogRecord::EncodeBatch(records);
+Result<Lsn> LogStoreClient::Append(NetContext* ctx, Slice batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.append", req, &resp);
+  Status st = fabric_->Call(ctx, node_, "log.append", batch, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

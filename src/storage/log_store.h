@@ -2,6 +2,7 @@
 #define DISAGG_STORAGE_LOG_STORE_H_
 
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -26,8 +27,11 @@ namespace disagg {
 /// LSN: records with `lsn <= durable_lsn` are dropped on re-send, which is
 /// what makes WAL re-flush after a failed batch safe.
 ///
-/// All state is behind a mutex; handler compute time is charged to callers
-/// via RpcServerContext.
+/// The service keeps the records as the bytes they arrived as, with one
+/// (lsn, offset) index entry per record: `log.read` answers with a byte
+/// range of that log, `log.truncate` cuts a prefix, and only SnapshotFrom
+/// decodes. All state is behind a mutex; handler compute time is charged to
+/// callers via RpcServerContext.
 class LogStoreService {
  public:
   LogStoreService(Fabric* fabric, NodeId node);
@@ -47,10 +51,22 @@ class LogStoreService {
   Status HandleTail(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleTruncate(Slice req, std::string* resp, RpcServerContext* sctx);
 
+  struct IndexEntry {
+    Lsn lsn;
+    size_t offset;  // where the record starts in log_
+  };
+
+  // Index of the first record with lsn > `from` (mu_ held).
+  size_t FirstAfterLocked(Lsn from) const;
+  // Byte offset of record `i`; the log's end for i == record count.
+  size_t OffsetLocked(size_t i) const;
+
   Fabric* fabric_;
   NodeId node_;
   mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
+  std::string log_;                // encoded records, strictly LSN-ascending
+  std::vector<IndexEntry> index_;  // one entry per record in log_
+  std::vector<EncodedRecord> batch_;  // HandleAppend scratch (mu_ held)
   Lsn durable_lsn_ = kInvalidLsn;
 };
 
@@ -61,7 +77,9 @@ class LogStoreClient {
 
   NodeId node() const { return node_; }
 
-  Result<Lsn> Append(NetContext* ctx, const std::vector<LogRecord>& records);
+  /// Appends an encoded batch (LogRecord::EncodeBatch). A fan-out encodes
+  /// once and hands every replica the same bytes.
+  Result<Lsn> Append(NetContext* ctx, Slice batch);
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, Lsn from_exclusive,
                                           uint64_t max_records = 1024);
   /// Highest durable LSN on the node, fetched over the fabric (so deadline,

@@ -1,6 +1,7 @@
 #include "storage/page_store.h"
 
 #include "common/coding.h"
+#include "common/logging.h"
 
 namespace disagg {
 
@@ -42,16 +43,16 @@ size_t PageStoreService::materialized_pages() const {
 size_t PageStoreService::pending_records() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [id, recs] : pending_) n += recs.size();
+  for (const auto& [id, redo] : pending_) n += redo.count;
   return n;
 }
 
 size_t PageStoreService::MaterializeAll() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t applied = 0;
-  for (auto& [id, recs] : pending_) applied += recs.size();
+  for (const auto& [id, redo] : pending_) applied += redo.count;
   std::vector<PageId> ids;
-  for (const auto& [id, recs] : pending_) ids.push_back(id);
+  for (const auto& [id, redo] : pending_) ids.push_back(id);
   for (PageId id : ids) {
     Status st = MaterializeLocked(id);
     (void)st;  // materialization errors surface on reads
@@ -63,11 +64,12 @@ std::map<PageId, Lsn> PageStoreService::PageVersions() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<PageId, Lsn> out;
   for (const auto& [id, page] : pages_) out[id] = page.lsn();
-  for (const auto& [id, recs] : pending_) {
-    if (!recs.empty()) {
-      Lsn last = recs.back().lsn;
+  for (const auto& [id, redo] : pending_) {
+    if (redo.count > 0) {
       auto it = out.find(id);
-      if (it == out.end() || it->second < last) out[id] = last;
+      if (it == out.end() || it->second < redo.last_lsn) {
+        out[id] = redo.last_lsn;
+      }
     }
   }
   return out;
@@ -81,9 +83,12 @@ void PageStoreService::IngestPage(const Page& page) {
     // Drop pending redo the ingested image already covers.
     auto pit = pending_.find(page.page_id());
     if (pit != pending_.end()) {
-      std::vector<LogRecord> keep;
-      for (LogRecord& r : pit->second) {
-        if (r.lsn > page.lsn()) keep.push_back(std::move(r));
+      PendingRedo keep;
+      Slice in(pit->second.bytes);
+      while (!in.empty()) {
+        auto r = LogRecord::ParseFrom(&in);
+        DISAGG_CHECK(r.ok());  // validated when it arrived
+        if (r->lsn > page.lsn()) keep.Add(*r);
       }
       pit->second = std::move(keep);
     }
@@ -98,32 +103,42 @@ Result<Page> PageStoreService::PeekPage(PageId id) const {
   return it->second;
 }
 
+void PageStoreService::PendingRedo::Add(const EncodedRecord& r) {
+  bytes.append(r.bytes.data(), r.bytes.size());
+  count++;
+  last_lsn = r.lsn;
+}
+
 Status PageStoreService::MaterializeLocked(PageId id) {
   auto pit = pending_.find(id);
-  if (pit == pending_.end() || pit->second.empty()) return Status::OK();
+  if (pit == pending_.end() || pit->second.count == 0) return Status::OK();
   auto it = pages_.find(id);
   if (it == pages_.end()) {
     it = pages_.emplace(id, Page(id)).first;
   }
-  for (const LogRecord& r : pit->second) {
+  Slice in(pit->second.bytes);
+  while (!in.empty()) {
+    DISAGG_ASSIGN_OR_RETURN(LogRecord r, LogRecord::DecodeFrom(&in));
     DISAGG_RETURN_NOT_OK(ApplyRedo(&it->second, r));
   }
-  pit->second.clear();
+  pit->second.bytes.clear();
+  pit->second.count = 0;
   return Status::OK();
 }
 
 Status PageStoreService::HandleApplyLog(Slice req, std::string* resp,
                                         RpcServerContext* sctx) {
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
   std::lock_guard<std::mutex> lock(mu_);
-  for (LogRecord& r : *batch) {
+  // The whole batch is checked before anything is queued, so a malformed
+  // one leaves the store as it was.
+  DISAGG_RETURN_NOT_OK(LogRecord::SplitBatch(req, &batch_));
+  for (const EncodedRecord& r : batch_) {
     if (r.lsn > high_water_lsn_) high_water_lsn_ = r.lsn;
     if (r.page_id == kInvalidPageId) continue;  // txn control records
-    pending_[r.page_id].push_back(std::move(r));
+    pending_[r.page_id].Add(r);
   }
   // Receiving/queueing is cheap; replay cost is paid at materialization.
-  sctx->ChargeCompute(30 * batch->size());
+  sctx->ChargeCompute(30 * batch_.size());
   resp->clear();
   PutVarint64(resp, high_water_lsn_);
   return Status::OK();
@@ -149,7 +164,7 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
   std::lock_guard<std::mutex> lock(mu_);
   size_t pending_count = 0;
   auto pit = pending_.find(id);
-  if (pit != pending_.end()) pending_count = pit->second.size();
+  if (pit != pending_.end()) pending_count = pit->second.count;
   DISAGG_RETURN_NOT_OK(MaterializeLocked(id));
   auto it = pages_.find(id);
   if (it == pages_.end()) return Status::NotFound("no such page");
@@ -159,11 +174,9 @@ Status PageStoreService::HandleGet(Slice req, std::string* resp,
   return Status::OK();
 }
 
-Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx,
-                                      const std::vector<LogRecord>& records) {
-  const std::string req = LogRecord::EncodeBatch(records);
+Result<Lsn> PageStoreClient::ApplyLog(NetContext* ctx, Slice batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "page.apply_log", req, &resp);
+  Status st = fabric_->Call(ctx, node_, "page.apply_log", batch, &resp);
   if (!st.ok()) return st;
   Slice in(resp);
   uint64_t lsn = 0;

@@ -3,6 +3,8 @@
 
 #include <map>
 #include <mutex>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -19,7 +21,9 @@ namespace disagg {
 ///    "generates data pages based on logs asynchronously";
 ///  - page shipping (PolarDB): compute sends whole pages ("page.put").
 /// Reads ("page.get") materialize any pending redo first and return the full
-/// page image plus its LSN.
+/// page image plus its LSN. Pending redo stays in its wire encoding until
+/// then: each page keeps the bytes of its records, their count and the last
+/// one's LSN, and decodes them only to replay them.
 class PageStoreService {
  public:
   PageStoreService(Fabric* fabric, NodeId node);
@@ -47,14 +51,25 @@ class PageStoreService {
   Status HandlePut(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleGet(Slice req, std::string* resp, RpcServerContext* sctx);
 
-  // Applies pending redo for one page (mu_ held).
+  // Redo received for one page and not yet replayed, in arrival order.
+  struct PendingRedo {
+    std::string bytes;  // the records' encodings, back to back
+    size_t count = 0;
+    Lsn last_lsn = kInvalidLsn;  // LSN of the last record received
+
+    void Add(const EncodedRecord& r);
+  };
+
+  // Applies pending redo for one page (mu_ held). On failure the page's
+  // pending redo stays queued.
   Status MaterializeLocked(PageId id);
 
   Fabric* fabric_;
   NodeId node_;
   mutable std::mutex mu_;
   std::map<PageId, Page> pages_;
-  std::map<PageId, std::vector<LogRecord>> pending_;
+  std::unordered_map<PageId, PendingRedo> pending_;
+  std::vector<EncodedRecord> batch_;  // HandleApplyLog scratch (mu_ held)
   Lsn high_water_lsn_ = kInvalidLsn;
 };
 
@@ -65,8 +80,9 @@ class PageStoreClient {
 
   NodeId node() const { return node_; }
 
-  /// Ships redo records (log shipping). Returns the store's high-water LSN.
-  Result<Lsn> ApplyLog(NetContext* ctx, const std::vector<LogRecord>& records);
+  /// Ships an encoded redo batch (LogRecord::EncodeBatch; log shipping).
+  /// Returns the store's high-water LSN.
+  Result<Lsn> ApplyLog(NetContext* ctx, Slice batch);
 
   /// Ships a full page image (page shipping).
   Status PutPage(NetContext* ctx, const Page& page);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/coding.h"
+
 namespace disagg {
 
 ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
@@ -26,10 +28,24 @@ ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
   next_idx_.assign(replicas_.size(), 0);
 }
 
+std::string ReplicatedSegment::SuffixBatchLocked(uint64_t from) const {
+  const size_t i = static_cast<size_t>(from - history_base_);
+  const size_t begin =
+      i == history_offsets_.size() ? history_.size() : history_offsets_[i];
+  std::string batch;
+  PutVarint64(&batch, history_offsets_.size() - i);
+  batch.append(history_, begin, std::string::npos);
+  return batch;
+}
+
 Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                                          const std::vector<LogRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogRecord& r : records) history_.push_back(r);
+  for (const LogRecord& r : records) {
+    history_offsets_.push_back(history_.size());
+    r.EncodeTo(&history_);
+  }
+  const uint64_t end = history_base_ + history_offsets_.size();
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
   // Chaos-harness self-check mutation: silently skip the last replica and
@@ -41,23 +57,32 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
   std::vector<NetContext> branch(replicas_.size(), ctx->Fork());
   int acks = 0;
   Lsn lsn = kInvalidLsn;
+  std::string batch;
+  uint64_t batch_from = end + 1;  // no batch built yet
   for (size_t i = 0; i < fanout; i++) {
     // Resync: this replica gets everything it has not acked yet, so the new
     // records never land with a gap in front of them. Fault-free this is
-    // exactly `records`.
-    const std::vector<LogRecord> suffix(history_.begin() + next_idx_[i],
-                                        history_.end());
+    // exactly `records`, and every replica shares the first batch built.
+    if (next_idx_[i] != batch_from) {
+      batch_from = next_idx_[i];
+      batch = SuffixBatchLocked(batch_from);
+    }
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
-    auto r = log_client.Append(&branch[i], suffix);
+    auto r = log_client.Append(&branch[i], batch);
     if (!r.ok()) continue;
     // The segment also queues the redo for page materialization.
-    auto p = page_client.ApplyLog(&branch[i], suffix);
+    auto p = page_client.ApplyLog(&branch[i], batch);
     if (!p.ok()) continue;
-    next_idx_[i] = history_.size();
+    next_idx_[i] = end;
     acked_lsn_[i] = *r;
     lsn = std::max(lsn, *r);
     acks++;
+  }
+  if (*std::min_element(next_idx_.begin(), next_idx_.end()) == end) {
+    history_.clear();
+    history_offsets_.clear();
+    history_base_ = end;
   }
   JoinParallel(ctx, branch.data(), branch.size());
   int required = config_.write_quorum;

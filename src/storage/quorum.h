@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -53,7 +54,9 @@ class ReplicatedSegment {
   /// before the new records count as acked: an ack always means "this
   /// replica contiguously holds everything up to the acked LSN". In the
   /// fault-free case the suffix is exactly `records`, so costs are
-  /// unchanged. Server-side LSN dedup makes re-sends idempotent.
+  /// unchanged. Server-side LSN dedup makes re-sends idempotent. The
+  /// records are encoded once; replicas with the same suffix share one
+  /// request buffer for both their RPCs.
   Result<Lsn> AppendLog(NetContext* ctx, const std::vector<LogRecord>& records);
 
   /// Reads a page from the first reachable replica whose durable LSN covers
@@ -82,6 +85,10 @@ class ReplicatedSegment {
   int CountDurable(Lsn lsn) const;
 
  private:
+  // Encoded batch of history records [from, end of history), as sent on
+  // the wire (mu_ held).
+  std::string SuffixBatchLocked(uint64_t from) const;
+
   Fabric* fabric_;
   Config config_;
   std::vector<SegmentReplica> replicas_;
@@ -90,10 +97,15 @@ class ReplicatedSegment {
   // as one unit, so appends hold this for their full fan-out.
   mutable std::mutex mu_;
   std::vector<Lsn> acked_lsn_;  // per-replica contiguously-acked LSN
-  // Client-side append history driving per-replica resync. Unbounded, like
-  // the replica logs themselves — the simulator never truncates segments.
-  std::vector<LogRecord> history_;
-  std::vector<size_t> next_idx_;  // per-replica: first history_ index not acked
+  // Client-side append history driving per-replica resync, as encoded
+  // records. Indices count records appended since construction; history_
+  // holds records [history_base_, history_base_ + history_offsets_.size()),
+  // every record since all replicas last caught up, so it covers each
+  // replica's un-acked suffix.
+  std::string history_;
+  std::vector<size_t> history_offsets_;  // where each record starts
+  uint64_t history_base_ = 0;
+  std::vector<uint64_t> next_idx_;  // per-replica: first index not acked
 };
 
 }  // namespace disagg

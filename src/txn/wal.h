@@ -41,7 +41,7 @@ class LogServiceSink : public LogSink {
 
   Result<Lsn> Append(NetContext* ctx,
                      const std::vector<LogRecord>& records) override {
-    return client_.Append(ctx, records);
+    return client_.Append(ctx, LogRecord::EncodeBatch(records));
   }
   Result<std::vector<LogRecord>> ReadAll(NetContext* ctx) override {
     return client_.ReadFrom(ctx, 0, ~0ull);

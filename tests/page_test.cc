@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "storage/log_record.h"
 #include "storage/page.h"
 
@@ -129,6 +131,92 @@ TEST(LogRecordTest, BatchRoundTrip) {
 TEST(LogRecordTest, DecodeRejectsGarbage) {
   Slice garbage("\x01\x02", 2);
   EXPECT_FALSE(LogRecord::DecodeFrom(&garbage).ok());
+}
+
+// A field value whose varint takes 1..10 bytes; width 10 is the maximum
+// (values with the top bit set).
+uint64_t VarintOfWidth(Random* rng, int width) {
+  if (width >= 10) return (1ull << 63) | rng->Next();
+  const uint64_t lo = width == 1 ? 0 : 1ull << (7 * (width - 1));
+  const uint64_t hi = (1ull << (7 * width)) - 1;
+  return rng->UniformRange(lo, hi);
+}
+
+std::string PayloadOfLength(Random* rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng->Next());
+  return s;
+}
+
+TEST(LogRecordTest, EncodedSizeMatchesEncodingProperty) {
+  Random rng(0xE5C0DE);
+  // Empty, one byte, around the 1->2 byte length-prefix boundary, and long
+  // enough to need a 3-byte length prefix.
+  const size_t lengths[] = {0, 1, 127, 128, 300, 20000};
+  for (int iter = 0; iter < 2000; iter++) {
+    LogRecord r;
+    auto field = [&] {
+      return VarintOfWidth(&rng, static_cast<int>(rng.UniformRange(1, 10)));
+    };
+    r.lsn = field();
+    r.prev_lsn = field();
+    r.txn_id = field();
+    r.type = static_cast<LogType>(rng.UniformRange(0, 255));
+    r.page_id = field();
+    r.slot = static_cast<uint16_t>(field());
+    r.row_key = field();
+    r.compensates_lsn = field();
+    r.payload = PayloadOfLength(&rng, lengths[rng.Uniform(6)]);
+    r.undo_payload = PayloadOfLength(&rng, lengths[rng.Uniform(6)]);
+    std::string buf;
+    r.EncodeTo(&buf);
+    ASSERT_EQ(r.EncodedSize(), buf.size()) << "iteration " << iter;
+  }
+  // Every field at its widest at once.
+  LogRecord widest;
+  widest.lsn = widest.prev_lsn = widest.txn_id = ~0ull;
+  widest.page_id = widest.row_key = widest.compensates_lsn = ~0ull;
+  widest.slot = 0xFFFF;
+  std::string buf;
+  widest.EncodeTo(&buf);
+  EXPECT_EQ(widest.EncodedSize(), buf.size());
+  EXPECT_EQ(buf.size(), 6u * 10 + 1 + 3 + 2);  // 6 u64s, type, slot, 2 lens
+}
+
+TEST(LogRecordTest, SplitBatchMatchesDecodeBatch) {
+  std::vector<LogRecord> batch;
+  for (uint64_t i = 1; i <= 4; i++) {
+    LogRecord r;
+    r.lsn = i * 1000;
+    r.page_id = i == 2 ? kInvalidPageId : i;
+    r.payload = std::string(i * 50, 'x');
+    batch.push_back(r);
+  }
+  const std::string wire = LogRecord::EncodeBatch(batch);
+  std::vector<EncodedRecord> split;
+  ASSERT_TRUE(LogRecord::SplitBatch(wire, &split).ok());
+  ASSERT_EQ(split.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); i++) {
+    EXPECT_EQ(split[i].lsn, batch[i].lsn);
+    EXPECT_EQ(split[i].page_id, batch[i].page_id);
+    std::string one;
+    batch[i].EncodeTo(&one);
+    EXPECT_EQ(split[i].bytes.ToString(), one);
+  }
+  // Every proper prefix of the wire batch is rejected by both.
+  for (size_t n = 0; n < wire.size(); n++) {
+    const Slice cut(wire.data(), n);
+    EXPECT_FALSE(LogRecord::DecodeBatch(cut).ok()) << n;
+    EXPECT_TRUE(LogRecord::SplitBatch(cut, &split).IsCorruption()) << n;
+  }
+}
+
+TEST(LogRecordTest, HugeBatchCountIsCorruptionNotAllocation) {
+  std::string wire;
+  PutVarint64(&wire, ~0ull);  // claims 2^64-1 records, carries none
+  std::vector<EncodedRecord> split;
+  EXPECT_TRUE(LogRecord::SplitBatch(wire, &split).IsCorruption());
+  EXPECT_TRUE(LogRecord::DecodeBatch(wire).status().IsCorruption());
 }
 
 TEST(ApplyRedoTest, InsertUpdateDelete) {

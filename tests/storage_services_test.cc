@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,44 @@ LogRecord MakeUpdate(Lsn lsn, PageId page, uint16_t slot,
   return r;
 }
 
+std::string Batch(const std::vector<LogRecord>& records) {
+  return LogRecord::EncodeBatch(records);
+}
+
+std::string Encoded(const LogRecord& r) {
+  std::string out;
+  r.EncodeTo(&out);
+  return out;
+}
+
+// Records compare equal iff their encodings do (every field is encoded).
+void ExpectSameRecords(const std::vector<LogRecord>& got,
+                       const std::vector<LogRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(Encoded(got[i]), Encoded(want[i])) << "record " << i;
+  }
+}
+
+// A record with every field set, so round trips check all of them.
+LogRecord MakeFull(Lsn lsn, size_t payload_len) {
+  LogRecord r = MakeUpdate(lsn, 100 + lsn % 7, lsn % 5,
+                           std::string(payload_len, 'a' + lsn % 26),
+                           /*txn=*/lsn / 3 + 1);
+  r.prev_lsn = lsn - 1;
+  r.row_key = lsn * 0x9E3779B97F4A7C15ull;
+  r.compensates_lsn = lsn % 4 == 0 ? lsn - 2 : kInvalidLsn;
+  r.undo_payload = std::string(payload_len / 2, 'u');
+  return r;
+}
+
+// A two-record batch cut inside its second record.
+std::string TruncatedBatch(Lsn first_lsn) {
+  const std::string whole =
+      Batch({MakeFull(first_lsn, 40), MakeFull(first_lsn + 1, 40)});
+  return whole.substr(0, whole.size() - 5);
+}
+
 class LogStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -49,8 +89,8 @@ class LogStoreTest : public ::testing::Test {
 };
 
 TEST_F(LogStoreTest, AppendAdvancesDurableLsn) {
-  auto lsn = client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
-                                     MakeInsert(2, 7, 1, "b")});
+  auto lsn = client_->Append(&ctx_, Batch({MakeInsert(1, 7, 0, "a"),
+                                           MakeInsert(2, 7, 1, "b")}));
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 2u);
   EXPECT_EQ(service_->durable_lsn(), 2u);
@@ -59,15 +99,15 @@ TEST_F(LogStoreTest, AppendAdvancesDurableLsn) {
 
 TEST_F(LogStoreTest, AppendIsIdempotentOnResend) {
   std::vector<LogRecord> batch = {MakeInsert(1, 7, 0, "a")};
-  ASSERT_TRUE(client_->Append(&ctx_, batch).ok());
-  ASSERT_TRUE(client_->Append(&ctx_, batch).ok());  // duplicate send
+  ASSERT_TRUE(client_->Append(&ctx_, Batch(batch)).ok());
+  ASSERT_TRUE(client_->Append(&ctx_, Batch(batch)).ok());  // duplicate send
   EXPECT_EQ(service_->record_count(), 1u);
 }
 
 TEST_F(LogStoreTest, ReadFromReturnsSuffix) {
-  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
-                                      MakeInsert(2, 7, 1, "b"),
-                                      MakeInsert(3, 7, 2, "c")})
+  ASSERT_TRUE(client_->Append(&ctx_, Batch({MakeInsert(1, 7, 0, "a"),
+                                            MakeInsert(2, 7, 1, "b"),
+                                            MakeInsert(3, 7, 2, "c")}))
                   .ok());
   auto recs = client_->ReadFrom(&ctx_, 1);
   ASSERT_TRUE(recs.ok());
@@ -77,8 +117,8 @@ TEST_F(LogStoreTest, ReadFromReturnsSuffix) {
 }
 
 TEST_F(LogStoreTest, TruncateDropsPrefix) {
-  ASSERT_TRUE(client_->Append(&ctx_, {MakeInsert(1, 7, 0, "a"),
-                                      MakeInsert(2, 7, 1, "b")})
+  ASSERT_TRUE(client_->Append(&ctx_, Batch({MakeInsert(1, 7, 0, "a"),
+                                            MakeInsert(2, 7, 1, "b")}))
                   .ok());
   ASSERT_TRUE(client_->Truncate(&ctx_, 1).ok());
   EXPECT_EQ(service_->record_count(), 1u);
@@ -86,6 +126,76 @@ TEST_F(LogStoreTest, TruncateDropsPrefix) {
   ASSERT_TRUE(recs.ok());
   ASSERT_EQ(recs->size(), 1u);
   EXPECT_EQ((*recs)[0].lsn, 2u);
+}
+
+TEST_F(LogStoreTest, ReadWithZeroMaxReturnsNoRecords) {
+  ASSERT_TRUE(client_->Append(&ctx_, Batch({MakeInsert(1, 7, 0, "a"),
+                                            MakeInsert(2, 7, 1, "b")}))
+                  .ok());
+  auto recs = client_->ReadFrom(&ctx_, 0, /*max_records=*/0);
+  ASSERT_TRUE(recs.ok());
+  EXPECT_TRUE(recs->empty());
+}
+
+TEST_F(LogStoreTest, ReadRoundTripsRecordsAndPaginates) {
+  std::vector<LogRecord> all;
+  for (Lsn lsn = 1; lsn <= 23; lsn++) {
+    all.push_back(MakeFull(lsn, lsn % 3 == 0 ? 0 : 10 * lsn));
+  }
+  // Batches of 5 that overlap their predecessor by one (a re-send).
+  for (size_t begin = 0; begin < all.size(); begin += 4) {
+    const size_t end = std::min(all.size(), begin + 5);
+    const std::vector<LogRecord> batch(all.begin() + begin,
+                                       all.begin() + end);
+    ASSERT_TRUE(client_->Append(&ctx_, Batch(batch)).ok());
+  }
+  ASSERT_EQ(service_->record_count(), all.size());
+  ExpectSameRecords(service_->SnapshotFrom(0), all);
+
+  std::vector<LogRecord> paged;
+  Lsn from = 0;
+  for (;;) {
+    auto page = client_->ReadFrom(&ctx_, from, /*max_records=*/4);
+    ASSERT_TRUE(page.ok());
+    ASSERT_LE(page->size(), 4u);
+    if (page->empty()) break;
+    for (LogRecord& r : *page) paged.push_back(std::move(r));
+    from = paged.back().lsn;
+  }
+  ExpectSameRecords(paged, all);
+  ExpectSameRecords(service_->SnapshotFrom(20),
+                    std::vector<LogRecord>(all.begin() + 20, all.end()));
+}
+
+TEST_F(LogStoreTest, TruncateKeepsTheRestReadableAndAppendable) {
+  std::vector<LogRecord> all;
+  for (Lsn lsn = 1; lsn <= 6; lsn++) all.push_back(MakeFull(lsn, 8 * lsn));
+  ASSERT_TRUE(client_->Append(&ctx_, Batch(all)).ok());
+  ASSERT_TRUE(client_->Truncate(&ctx_, 3).ok());
+  auto rest = client_->ReadFrom(&ctx_, 0);
+  ASSERT_TRUE(rest.ok());
+  ExpectSameRecords(*rest, std::vector<LogRecord>(all.begin() + 3, all.end()));
+  all.push_back(MakeFull(7, 5));
+  ASSERT_TRUE(client_->Append(&ctx_, Batch({all.back()})).ok());
+  ExpectSameRecords(service_->SnapshotFrom(4),
+                    std::vector<LogRecord>(all.begin() + 4, all.end()));
+  ASSERT_TRUE(client_->Truncate(&ctx_, 100).ok());
+  EXPECT_EQ(service_->record_count(), 0u);
+  EXPECT_EQ(service_->durable_lsn(), 7u);
+}
+
+TEST_F(LogStoreTest, MalformedAppendIsCorruptionAndChangesNothing) {
+  const std::vector<LogRecord> first = {MakeFull(1, 10), MakeFull(2, 20)};
+  ASSERT_TRUE(client_->Append(&ctx_, Batch(first)).ok());
+  // The truncated batch's first record is whole and would advance the log
+  // if the service stored records before checking the rest.
+  for (const std::string& bad :
+       {TruncatedBatch(3), std::string(), std::string("\x05\x01", 2)}) {
+    EXPECT_TRUE(client_->Append(&ctx_, bad).status().IsCorruption());
+    EXPECT_EQ(service_->durable_lsn(), 2u);
+    EXPECT_EQ(service_->record_count(), 2u);
+    ExpectSameRecords(service_->SnapshotFrom(0), first);
+  }
 }
 
 class PageStoreTest : public ::testing::Test {
@@ -105,8 +215,8 @@ class PageStoreTest : public ::testing::Test {
 };
 
 TEST_F(PageStoreTest, LogShippingMaterializesOnRead) {
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {MakeInsert(1, 5, 0, "hello"),
-                                        MakeUpdate(2, 5, 0, "world")})
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Batch({MakeInsert(1, 5, 0, "hello"),
+                                              MakeUpdate(2, 5, 0, "world")}))
                   .ok());
   EXPECT_EQ(service_->pending_records(), 2u);
   EXPECT_EQ(service_->materialized_pages(), 0u);  // asynchronous
@@ -151,9 +261,101 @@ TEST_F(PageStoreTest, HighWaterTracksControlRecords) {
   commit.lsn = 9;
   commit.type = LogType::kTxnCommit;
   commit.page_id = kInvalidPageId;
-  ASSERT_TRUE(client_->ApplyLog(&ctx_, {commit}).ok());
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Batch({commit})).ok());
   EXPECT_EQ(service_->high_water_lsn(), 9u);
   EXPECT_EQ(service_->pending_records(), 0u);
+}
+
+TEST_F(PageStoreTest, MalformedApplyLogIsCorruptionAndChangesNothing) {
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Batch({MakeInsert(1, 5, 0, "keep")}))
+                  .ok());
+  EXPECT_TRUE(client_->ApplyLog(&ctx_, TruncatedBatch(2)).status()
+                  .IsCorruption());
+  EXPECT_EQ(service_->high_water_lsn(), 1u);
+  EXPECT_EQ(service_->pending_records(), 1u);
+  EXPECT_EQ(service_->PageVersions(), (std::map<PageId, Lsn>{{5, 1}}));
+  auto page = client_->GetPage(&ctx_, 5);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->lsn(), 1u);
+  EXPECT_EQ(page->Get(0)->ToString(), "keep");
+}
+
+TEST_F(PageStoreTest, FailedReplayLeavesRedoPending) {
+  // An update to a slot the page never had cannot replay.
+  ASSERT_TRUE(
+      client_->ApplyLog(&ctx_, Batch({MakeUpdate(1, 5, 3, "orphan")})).ok());
+  EXPECT_FALSE(client_->GetPage(&ctx_, 5).ok());
+  EXPECT_EQ(service_->pending_records(), 1u);
+  EXPECT_EQ(service_->MaterializeAll(), 1u);
+  EXPECT_EQ(service_->pending_records(), 1u);
+}
+
+TEST_F(PageStoreTest, IngestDropsOnlyCoveredRedo) {
+  std::vector<LogRecord> redo = {MakeInsert(1, 5, 0, "v1")};
+  for (Lsn lsn = 2; lsn <= 4; lsn++) {
+    redo.push_back(MakeUpdate(lsn, 5, 0, "v" + std::to_string(lsn)));
+  }
+  ASSERT_TRUE(client_->ApplyLog(&ctx_, Batch(redo)).ok());
+  Page image(5);
+  ASSERT_TRUE(image.Insert("v2").ok());
+  image.set_lsn(2);
+  service_->IngestPage(image);
+  EXPECT_EQ(service_->pending_records(), 2u);
+  EXPECT_EQ(service_->PageVersions().at(5), 4u);
+  auto page = client_->GetPage(&ctx_, 5);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->lsn(), 4u);
+  EXPECT_EQ(page->Get(0)->ToString(), "v4");
+}
+
+TEST(QuorumTest, RevivedReplicasResyncToTheHealthyLog) {
+  Fabric fabric;
+  ReplicatedSegment segment(&fabric, {});
+  NetContext ctx;
+  Lsn lsn = 0;
+  auto append = [&](int n) {
+    std::vector<LogRecord> batch;
+    for (int i = 0; i < n; i++) {
+      lsn++;
+      batch.push_back(MakeFull(lsn, 12 + lsn));
+      batch.back().page_id = 1 + lsn % 3;
+      batch.back().type = LogType::kInsert;
+      batch.back().slot = static_cast<uint16_t>((lsn - 1) / 3);
+    }
+    ASSERT_TRUE(segment.AppendLog(&ctx, batch).ok());
+  };
+  append(3);
+  // Replicas 0 and 1 miss different amounts of history, so the revival
+  // append sends three different suffixes.
+  fabric.node(segment.replica(0).node)->Fail();
+  append(2);
+  fabric.node(segment.replica(1).node)->Fail();
+  append(4);
+  fabric.node(segment.replica(0).node)->Revive();
+  fabric.node(segment.replica(1).node)->Revive();
+  append(1);
+  EXPECT_EQ(segment.CountDurable(lsn), 6);
+
+  const std::vector<LogRecord> healthy =
+      segment.replica(5).log_service->SnapshotFrom(0);
+  ASSERT_EQ(healthy.size(), lsn);
+  for (size_t i = 0; i < 2; i++) {
+    ExpectSameRecords(segment.replica(i).log_service->SnapshotFrom(0),
+                      healthy);
+    segment.replica(i).page_service->MaterializeAll();
+  }
+  segment.replica(5).page_service->MaterializeAll();
+  for (PageId id = 1; id <= 3; id++) {
+    auto want = segment.replica(5).page_service->PeekPage(id);
+    ASSERT_TRUE(want.ok());
+    for (size_t i = 0; i < 2; i++) {
+      auto got = segment.replica(i).page_service->PeekPage(id);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->lsn(), want->lsn());
+      EXPECT_EQ(std::string(got->data(), kPageSize),
+                std::string(want->data(), kPageSize));
+    }
+  }
 }
 
 TEST(QuorumTest, AuroraQuorumSurvivesAzFailure) {
@@ -206,7 +408,7 @@ TEST(QuorumTest, ParallelFanOutChargesMaxNotSum) {
   // simulated time (fan-out is parallel), so well under 6x a single RPC pair.
   NetContext single;
   LogStoreClient one(&fabric, segment.replica(0).node);
-  ASSERT_TRUE(one.Append(&single, {MakeInsert(2, 1, 1, "b")}).ok());
+  ASSERT_TRUE(one.Append(&single, Batch({MakeInsert(2, 1, 1, "b")})).ok());
   EXPECT_LT(ctx.sim_ns, 4 * single.sim_ns);
   EXPECT_GT(ctx.bytes_out, 5 * single.bytes_out);  // but 6x the traffic
 }
@@ -374,8 +576,8 @@ class GossipTest : public ::testing::Test {
 TEST_F(GossipTest, SpreadsPagesToAllStores) {
   // Taurus: the writer sends the page to ONE store only.
   PageStoreClient writer(&fabric_, services_[0]->node());
-  ASSERT_TRUE(writer.ApplyLog(&ctx_, {MakeInsert(1, 11, 0, "gossip-me")})
-                  .ok());
+  ASSERT_TRUE(
+      writer.ApplyLog(&ctx_, Batch({MakeInsert(1, 11, 0, "gossip-me")})).ok());
   EXPECT_FALSE(group_->Converged());
   const size_t rounds = group_->RunUntilConverged(&ctx_);
   EXPECT_LE(rounds, 16u);
@@ -390,10 +592,10 @@ TEST_F(GossipTest, SpreadsPagesToAllStores) {
 
 TEST_F(GossipTest, StalenessDropsMonotonically) {
   PageStoreClient writer(&fabric_, services_[0]->node());
-  ASSERT_TRUE(writer.ApplyLog(&ctx_, {MakeInsert(1, 11, 0, "v0")}).ok());
+  ASSERT_TRUE(writer.ApplyLog(&ctx_, Batch({MakeInsert(1, 11, 0, "v0")})).ok());
   for (Lsn lsn = 2; lsn <= 8; lsn++) {
     ASSERT_TRUE(
-        writer.ApplyLog(&ctx_, {MakeUpdate(lsn, 11, 0, "v")}).ok());
+        writer.ApplyLog(&ctx_, Batch({MakeUpdate(lsn, 11, 0, "v")})).ok());
   }
   services_[0]->MaterializeAll();
   uint64_t prev = group_->MaxStaleness();
