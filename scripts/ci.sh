@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification, a sanitizer pass over the fabric/txn core, and the
-# chaos stage (fresh commit-derived seeds + mutation self-check).
+# Tier-1 verification, sanitizer passes (ASan/UBSan over the fabric/txn
+# core, TSan over the threaded driver suites), and the chaos stage (fresh
+# commit-derived seeds + mutation self-check).
 #
-#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + chaos
+#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + TSan + chaos
 #   scripts/ci.sh --fast   # tier-1 only (skip sanitizer + chaos stages)
 #
 # Requires: cmake >= 3.16, a C++20 compiler, GTest and google-benchmark dev
@@ -48,6 +49,22 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "${JOBS}" --target "${SAN_TESTS[@]}"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
   -R "^($(IFS='|'; echo "${SAN_TESTS[*]}"))$"
+
+# ThreadSanitizer over the suites that run the epoch-parallel driver on
+# several threads. Its barrier is hand-rolled on atomics (spin, then park on
+# a condvar), so a missing acquire/release pair shows up here as a race.
+# concurrency_test stays out until the fabric's region accesses are
+# race-free (ROADMAP item 3). TSan exits non-zero on any report.
+TSAN_TESTS=(parallel_sim_test load_driver_test slo_controller_test
+            membership_test)
+echo "==> thread-sanitizer pass: ${TSAN_TESTS[*]}"
+cmake -B build-tsan -S . \
+  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j "${JOBS}" --target "${TSAN_TESTS[@]}"
+ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
+  -R "^($(IFS='|'; echo "${TSAN_TESTS[*]}"))$"
 
 # Chaos stage: beyond the fixed seeds baked into chaos_test, run fresh
 # schedules derived from the commit hash so every commit explores new

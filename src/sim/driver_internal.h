@@ -1,8 +1,10 @@
 #ifndef DISAGG_SIM_DRIVER_INTERNAL_H_
 #define DISAGG_SIM_DRIVER_INTERNAL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/random.h"
 #include "sim/load_driver.h"
@@ -79,6 +81,52 @@ inline uint64_t FirstArrivalNs(const OpenLoopOptions& opts, double period_ns,
                                  static_cast<double>(opts.clients));
   }
   return NextGapNs(opts, period_ns, arrival_rng);
+}
+
+/// Canonical trace order — identical to the serial driver's processing
+/// order (virtual-time heap, client-id tie-break, per-client op_index
+/// monotone). The key (arrival, client, op_index) is unique per record:
+/// total order, no comparator ambiguity.
+inline bool TraceLess(const LoadReport::OpTrace& a,
+                      const LoadReport::OpTrace& b) {
+  if (a.arrival_ns != b.arrival_ns) return a.arrival_ns < b.arrival_ns;
+  if (a.client != b.client) return a.client < b.client;
+  return a.op_index < b.op_index;
+}
+
+/// A run of trace records [begin, end), sorted by `TraceLess`.
+struct TraceRun {
+  const LoadReport::OpTrace* begin;
+  const LoadReport::OpTrace* end;
+};
+
+/// K-way merge: calls `visit(record)` for every record of every run in
+/// `TraceLess` order. The epoch driver's per-partition runs qualify as
+/// they are: a partition records ops in heap-pop order, and since a client
+/// has one heap entry at a time and never schedules before its current
+/// event, that order is already sorted.
+template <typename Visit>
+void MergeTraceRuns(std::vector<TraceRun> runs, Visit&& visit) {
+  // Min-heap of the non-empty runs, keyed by their head record.
+  auto later = [](const TraceRun& a, const TraceRun& b) {
+    return TraceLess(*b.begin, *a.begin);
+  };
+  std::erase_if(runs, [](const TraceRun& r) { return r.begin == r.end; });
+  std::make_heap(runs.begin(), runs.end(), later);
+  while (runs.size() > 1) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    TraceRun& run = runs.back();
+    visit(*run.begin);
+    if (++run.begin == run.end) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
+  if (runs.empty()) return;
+  for (const LoadReport::OpTrace* t = runs[0].begin; t != runs[0].end; ++t) {
+    visit(*t);
+  }
 }
 
 }  // namespace internal

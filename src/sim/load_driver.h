@@ -42,7 +42,8 @@ inline constexpr uint64_t kDefaultEpochNs = 100'000;
 /// which cross-partition interference at shared resources is exchanged at
 /// epoch granularity rather than per op.
 struct ParallelConfig {
-  uint32_t threads = 1;     ///< worker threads (execution resource only)
+  uint32_t threads = 1;     ///< workers incl. the caller; 0 or 1 = inline
+                            ///< (execution resource only)
   uint32_t partitions = 0;  ///< client partitions; 0 = legacy serial driver
   uint64_t epoch_ns = 0;    ///< epoch width; 0 = kDefaultEpochNs
   bool record_trace = false;  ///< fill `LoadReport::trace` (one record/op)
@@ -128,8 +129,10 @@ struct LoadReport {
   /// `total.sim_ns` equals `makespan_ns`.
   NetContext total;
 
-  /// Each client's final simulated clock (completion of its last op);
-  /// `makespan_ns` is the max of these.
+  /// Each client's final simulated clock: closed loop, the completion of
+  /// its last op; open loop, its *latest* completion, which need not be the
+  /// last-issued op's (a later arrival can finish first). `makespan_ns` is
+  /// the max of these.
   std::vector<uint64_t> per_client_sim_ns;
 
   // ---- Open-loop only (zero for closed-loop runs) ---------------------

@@ -1,13 +1,14 @@
 #include "sim/parallel_driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/membership.h"
@@ -21,25 +22,43 @@ namespace sim {
 namespace {
 
 using internal::ClientSeed;
+using internal::EpochEndFor;
 using internal::OpTag;
 using internal::Runnable;
 
-/// Persistent worker pool with a generation barrier: `Run(fn)` executes
-/// fn(p) for every partition p — worker t takes partitions t, t+T, t+2T, …
-/// — and returns once all are done. The partition→thread mapping is pure
-/// load balancing: partitions share no mutable state within an epoch, and
-/// the barrier's mutex publishes each epoch's writes to the main thread, so
-/// WHICH thread ran a partition can never reach a result. With fewer than
-/// two workers everything runs inline on the calling thread.
+/// Busy-wait iterations a barrier waiter spends before it parks on the
+/// condvar. An epoch's work is tens of microseconds, so a waiter that spins
+/// this long almost always sees the other side arrive without a futex
+/// hand-off; a waiter that does not (an empty stretch, an oversubscribed
+/// host) stops burning a core after some tens of microseconds.
+constexpr uint32_t kSpinIterations = 1u << 12;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Persistent worker pool with a generation barrier: `Run()` executes
+/// body(p) for every partition p and returns once all are done. The caller
+/// is worker 0 and `threads - 1` helpers are workers 1..; worker t takes
+/// partitions t, t+T, t+2T, … The partition→thread mapping is pure load
+/// balancing: partitions share no mutable state within an epoch, and the
+/// barrier's acquire/release pairs publish each epoch's writes (see
+/// DESIGN.md "Parallel simulation"), so WHICH thread ran a partition can
+/// never reach a result. With one worker everything runs inline.
+template <typename Body>
 class EpochPool {
  public:
-  EpochPool(uint32_t threads, uint32_t partitions) : partitions_(partitions) {
-    const uint32_t n = std::min(threads, partitions);
-    if (n <= 1) return;
-    workers_.reserve(n);
-    for (uint32_t t = 0; t < n; t++) {
-      workers_.emplace_back(
-          [this, t, n] { WorkerLoop(t, n); });
+  EpochPool(uint32_t threads, uint32_t partitions, Body body)
+      : partitions_(partitions),
+        stride_(std::clamp(threads, 1u, partitions)),
+        body_(std::move(body)) {
+    helpers_.reserve(stride_ - 1);
+    for (uint32_t t = 1; t < stride_; t++) {
+      helpers_.emplace_back([this, t] { HelperLoop(t); });
     }
   }
 
@@ -47,156 +66,269 @@ class EpochPool {
   EpochPool& operator=(const EpochPool&) = delete;
 
   ~EpochPool() {
-    if (workers_.empty()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& w : workers_) w.join();
+    if (helpers_.empty()) return;
+    shutdown_.store(true, std::memory_order_relaxed);
+    Publish();
+    for (std::thread& h : helpers_) h.join();
   }
 
-  void Run(const std::function<void(uint32_t)>& fn) {
-    if (workers_.empty()) {
-      for (uint32_t p = 0; p < partitions_; p++) fn(p);
-      return;
+  void Run() {
+    if (!helpers_.empty()) {
+      pending_.store(static_cast<uint32_t>(helpers_.size()),
+                     std::memory_order_relaxed);
+      Publish();
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    work_ = &fn;
-    pending_ = static_cast<uint32_t>(workers_.size());
-    generation_++;
-    cv_work_.notify_all();
-    cv_done_.wait(lock, [this] { return pending_ == 0; });
-    work_ = nullptr;
+    RunShare(0);
+    if (!helpers_.empty()) AwaitHelpers();
   }
 
  private:
-  void WorkerLoop(uint32_t index, uint32_t stride) {
+  void RunShare(uint32_t worker) {
+    for (uint32_t p = worker; p < partitions_; p += stride_) body_(p);
+  }
+
+  /// Opens the next generation. The increment is a release that makes the
+  /// caller's barrier-leg writes (and `pending_`, `shutdown_`) visible to
+  /// every helper that acquires the new value.
+  void Publish() {
+    generation_.fetch_add(1, std::memory_order_seq_cst);
+    Wake(&parked_helpers_, &work_cv_);
+  }
+
+  /// The caller's side of the end-of-epoch barrier: the load that reads 0
+  /// synchronizes with every helper's decrement (one release sequence of
+  /// RMWs), so all partitions' writes are visible afterwards.
+  void AwaitHelpers() {
+    Await([this] { return pending_.load(std::memory_order_seq_cst) == 0; },
+          &parked_caller_, &done_cv_);
+  }
+
+  void HelperLoop(uint32_t worker) {
     uint64_t seen = 0;
     for (;;) {
-      const std::function<void(uint32_t)>* work = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_work_.wait(lock,
-                      [&] { return shutdown_ || generation_ != seen; });
-        if (shutdown_) return;
-        seen = generation_;
-        work = work_;
+      Await(
+          [&] {
+            const uint64_t g = generation_.load(std::memory_order_seq_cst);
+            if (g == seen) return false;
+            seen = g;
+            return true;
+          },
+          &parked_helpers_, &work_cv_);
+      if (shutdown_.load(std::memory_order_relaxed)) return;
+      RunShare(worker);
+      if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+        Wake(&parked_caller_, &done_cv_);
       }
-      for (uint32_t p = index; p < partitions_; p += stride) (*work)(p);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) cv_done_.notify_one();
     }
   }
 
+  /// Spins on `ready` for kSpinIterations, then parks on `cv`. Parking is
+  /// one half of a Dekker handshake: the waiter bumps `parked` under the
+  /// mutex before re-checking `ready`, and the waker changes what `ready`
+  /// reads before loading `parked` in `Wake`. Both use seq_cst, so either
+  /// the waiter sees the change or the waker sees it parked and notifies
+  /// under the mutex — a wakeup cannot be lost.
+  template <typename Ready>
+  void Await(Ready ready, std::atomic<uint32_t>* parked,
+             std::condition_variable* cv) {
+    for (uint32_t i = 0; i < kSpinIterations; i++) {
+      if (ready()) return;
+      CpuRelax();
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    parked->fetch_add(1, std::memory_order_seq_cst);
+    cv->wait(lock, ready);
+    parked->fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  void Wake(std::atomic<uint32_t>* parked, std::condition_variable* cv) {
+    if (parked->load(std::memory_order_seq_cst) == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    cv->notify_all();
+  }
+
   const uint32_t partitions_;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::function<void(uint32_t)>* work_ = nullptr;
-  uint32_t pending_ = 0;
-  uint64_t generation_ = 0;
-  bool shutdown_ = false;
+  const uint32_t stride_;  ///< workers, the caller included
+  Body body_;
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<uint32_t> pending_{0};  ///< helpers still in this epoch
+  std::atomic<uint32_t> parked_helpers_{0};  ///< asleep on work_cv_
+  std::atomic<uint32_t> parked_caller_{0};   ///< asleep on done_cv_
+  std::atomic<bool> shutdown_{false};
+  std::mutex mu_;  ///< guards only the condvar sleeps
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::vector<std::thread> helpers_;  // last: threads use the members above
 };
 
-/// One client partition's private slice of the run.
-struct Partition {
+/// Closed-loop client: a persistent context (its clock is the client's
+/// timeline), the workload stream, and ops issued so far.
+struct ClosedClient {
+  NetContext ctx;
+  Random rng;
+  uint64_t issued = 0;
+};
+
+/// Open-loop client: each op runs on a fresh context, so all a client keeps
+/// is its two streams, ops issued, and its latest completion time.
+struct OpenClient {
+  Random rng;
+  Random arrival_rng;
+  uint64_t issued = 0;
+  uint64_t done_ns = 0;  ///< max over completed ops, not the last op's
+};
+
+/// One client partition's private slice of the run. Client c lives in
+/// partition c % P at `clients[c / P]`, so a partition's clients are
+/// contiguous in memory and no two workers write one cache line.
+template <typename Client>
+struct alignas(64) Partition {
   std::priority_queue<Runnable, std::vector<Runnable>,
                       std::greater<Runnable>>
       heap;
+  std::vector<Client> clients;
   uint64_t ops = 0;
   uint64_t errors = 0;
   uint64_t busy = 0;
   Histogram latency;
+  /// Per-op records in heap-pop order, which is already canonical order.
   std::vector<LoadReport::OpTrace> records;
+  /// Open loop: the traffic counters of every op this partition ran.
+  NetContext traffic;
   PartitionEffects effects;
   /// Per-tenant SLO observations accumulated this epoch (controller runs
   /// only); ingested at the barrier in partition-id order and cleared.
   SloController::EpochObservations obs;
+
+  void Count(const Status& st, uint64_t latency_ns, uint32_t tenant,
+             bool observe) {
+    ops++;
+    if (!st.ok()) {
+      errors++;
+      if (st.IsBusy()) busy++;
+    }
+    latency.Record(latency_ns);
+    if (observe) obs[tenant].Add(latency_ns, st);
+  }
 };
 
-/// Barrier leg for the SLO control plane: feed every partition's epoch of
-/// observations to the controller in partition-id order (Sample::Merge is
-/// commutative, so this order is a convention, not a load-bearing choice),
-/// then run the control step. Workers are parked at the barrier, so the
-/// actuation the controller publishes is seen by every partition of the
-/// next epoch — and by none of the current one.
-void ControllerBarrier(SloController* ctrl, std::vector<Partition>* parts,
-                       uint64_t epoch_end) {
-  if (ctrl == nullptr) return;
-  for (Partition& part : *parts) {
-    ctrl->Ingest(part.obs);
-    part.obs.clear();
+/// Partitions of `clients` clients, round-robin (client % P): part of the
+/// determinism contract's config, never a runtime decision. `make(c)`
+/// builds client c's state; `first_ns(c, &client)` is its first event.
+template <typename Client, typename Make, typename First>
+std::vector<Partition<Client>> MakePartitions(uint32_t P, uint64_t clients,
+                                              uint64_t ops_per_client,
+                                              bool record, Make make,
+                                              First first_ns) {
+  std::vector<Partition<Client>> parts(P);
+  for (uint32_t p = 0; p < P; p++) {
+    const uint64_t n = (clients - p + P - 1) / P;
+    parts[p].clients.reserve(n);
+    if (record) parts[p].records.reserve(n * ops_per_client);
   }
-  ctrl->EndEpoch(epoch_end);
-}
-
-/// Barrier leg: replay every shard this partition accumulated into the
-/// authoritative objects. Called on the main thread, partitions in
-/// partition-id order; a map here only interleaves shards of *independent*
-/// objects, so its iteration order cannot affect results.
-void MergeEffects(PartitionEffects* effects) {
-  for (auto& [state, shard] : effects->congestion_shards) {
-    state->MergeShard(shard.get());
+  for (uint64_t c = 0; c < clients; c++) {
+    Partition<Client>& part = parts[c % P];
+    part.clients.push_back(make(c));
+    part.heap.push({first_ns(c, &part.clients.back()), c});
   }
-  for (auto& [breaker, shard] : effects->breaker_shards) {
-    breaker->MergeShard(&shard);
-  }
+  return parts;
 }
-
-/// Canonical trace order — identical to the serial driver's processing
-/// order (virtual-time heap, client-id tie-break, per-client op_index
-/// monotone), so sorting the partitions' concatenated records reproduces
-/// the serial trace exactly when the schedules agree. The key
-/// (arrival, client, op_index) is unique per record: total order, no
-/// comparator ambiguity.
-bool TraceLess(const LoadReport::OpTrace& a, const LoadReport::OpTrace& b) {
-  if (a.arrival_ns != b.arrival_ns) return a.arrival_ns < b.arrival_ns;
-  if (a.client != b.client) return a.client < b.client;
-  return a.op_index < b.op_index;
-}
-
-using internal::EpochEndFor;
 
 /// Smallest pending event time across all partitions, or UINT64_MAX.
-uint64_t MinPending(const std::vector<Partition>& parts) {
+template <typename Client>
+uint64_t MinPending(const std::vector<Partition<Client>>& parts) {
   uint64_t next = std::numeric_limits<uint64_t>::max();
-  for (const Partition& part : parts) {
+  for (const Partition<Client>& part : parts) {
     if (!part.heap.empty()) next = std::min(next, part.heap.top().at_ns);
   }
   return next;
 }
 
-void FinalizeCounters(const std::vector<NetContext>& ctxs,
-                      std::vector<Partition>* parts, LoadReport* report) {
-  for (Partition& part : *parts) {
+/// The epoch loop both disciplines share. `step(part, r, &client)` runs
+/// one popped event `r` of `client`; the pool runs it for every event below
+/// the epoch end in every partition, then the barrier legs run on the
+/// calling thread while the helpers wait for the next epoch:
+///  1. replay every partition's effect shards into the authoritative
+///     objects, in partition-id order (a map there only interleaves shards
+///     of *independent* objects, so its iteration order cannot matter);
+///  2. feed the SLO controller each partition's observations in
+///     partition-id order (Sample::Merge commutes), then its control step —
+///     the actuation is seen by every partition of the next epoch and by
+///     none of the current one;
+///  3. membership: heartbeat rounds, revocations and repairs.
+/// Empty epochs are skipped by jumping straight to the epoch holding the
+/// earliest pending event (same boundaries as stepping one by one).
+template <typename Client, typename Step>
+void RunEpochs(const ParallelConfig& cfg, uint64_t epoch_ns,
+               std::vector<Partition<Client>>* parts, Step step,
+               LoadReport* report) {
+  const uint32_t P = static_cast<uint32_t>(parts->size());
+  uint64_t epoch_end = EpochEndFor(MinPending(*parts), epoch_ns);
+  auto body = [parts, P, &epoch_end, &step](uint32_t p) {
+    Partition<Client>& part = (*parts)[p];
+    PartitionEffectsScope scope(&part.effects);
+    while (!part.heap.empty() && part.heap.top().at_ns < epoch_end) {
+      const Runnable r = part.heap.top();
+      part.heap.pop();
+      step(part, r, &part.clients[r.client / P]);
+    }
+  };
+  EpochPool<decltype(body)> pool(cfg.threads, P, body);
+  for (;;) {
+    pool.Run();
+    report->epochs++;
+    for (Partition<Client>& part : *parts) {
+      for (auto& [state, shard] : part.effects.congestion_shards) {
+        state->MergeShard(shard.get());
+      }
+      for (auto& [breaker, shard] : part.effects.breaker_shards) {
+        breaker->MergeShard(&shard);
+      }
+    }
+    if (cfg.controller != nullptr) {
+      for (Partition<Client>& part : *parts) {
+        cfg.controller->Ingest(part.obs);
+        part.obs.clear();
+      }
+      cfg.controller->EndEpoch(epoch_end);
+    }
+    if (cfg.membership != nullptr) cfg.membership->EndEpoch(epoch_end);
+
+    const uint64_t next = MinPending(*parts);
+    if (next == std::numeric_limits<uint64_t>::max()) break;
+    epoch_end = EpochEndFor(next, epoch_ns);
+  }
+}
+
+template <typename Client>
+void FoldPartitionCounters(std::vector<Partition<Client>>* parts,
+                           LoadReport* report) {
+  for (Partition<Client>& part : *parts) {
     report->ops += part.ops;
     report->errors += part.errors;
     report->busy += part.busy;
     report->latency.Merge(part.latency);  // bucket merge: order-insensitive
   }
-  report->per_client_sim_ns.reserve(ctxs.size());
-  for (const NetContext& c : ctxs) {
-    report->per_client_sim_ns.push_back(c.sim_ns);
-    if (c.sim_ns > report->makespan_ns) report->makespan_ns = c.sim_ns;
-  }
-  MergeParallel(&report->total, ctxs.data(), ctxs.size());
 }
 
-/// Concatenates the partitions' per-op records into canonical order.
-std::vector<LoadReport::OpTrace> SortedRecords(std::vector<Partition>* parts) {
-  std::vector<LoadReport::OpTrace> all;
-  size_t n = 0;
-  for (const Partition& part : *parts) n += part.records.size();
-  all.reserve(n);
-  for (Partition& part : *parts) {
-    all.insert(all.end(), part.records.begin(), part.records.end());
-    part.records.clear();
-    part.records.shrink_to_fit();
+/// Visits the partitions' records in canonical order by a k-way merge of
+/// their runs, releasing each run afterwards.
+template <typename Client, typename Visit>
+void MergeRecords(std::vector<Partition<Client>>* parts, Visit visit) {
+  std::vector<internal::TraceRun> runs;
+  runs.reserve(parts->size());
+  for (const Partition<Client>& part : *parts) {
+    runs.push_back({part.records.data(),
+                    part.records.data() + part.records.size()});
   }
-  std::sort(all.begin(), all.end(), TraceLess);
-  return all;
+  internal::MergeTraceRuns(std::move(runs), visit);
+  for (Partition<Client>& part : *parts) {
+    std::vector<LoadReport::OpTrace>().swap(part.records);
+  }
+}
+
+uint64_t EpochWidth(const ParallelConfig& cfg) {
+  return cfg.epoch_ns > 0 ? cfg.epoch_ns : kDefaultEpochNs;
 }
 
 }  // namespace
@@ -208,73 +340,50 @@ LoadReport RunEpochClosedLoop(const LoadOptions& opts, const ClientOpFn& op) {
 
   const uint32_t P = static_cast<uint32_t>(
       std::min<uint64_t>(opts.parallel.partitions, opts.clients));
-  const uint64_t epoch_ns =
-      opts.parallel.epoch_ns > 0 ? opts.parallel.epoch_ns : kDefaultEpochNs;
   const bool record = opts.parallel.record_trace;
+  const bool observe = opts.parallel.controller != nullptr;
 
-  std::vector<NetContext> ctxs(opts.clients);
-  std::vector<Random> rngs;
-  std::vector<uint64_t> issued(opts.clients, 0);
-  rngs.reserve(opts.clients);
+  auto parts = MakePartitions<ClosedClient>(
+      P, opts.clients, opts.ops_per_client, record,
+      [&](uint64_t c) {
+        return ClosedClient{NetContext{}, Random(ClientSeed(opts.seed, c)), 0};
+      },
+      [](uint64_t, ClosedClient*) { return uint64_t{0}; });
+
+  RunEpochs(opts.parallel, EpochWidth(opts.parallel), &parts,
+            [&](Partition<ClosedClient>& part, const Runnable& r,
+                ClosedClient* cl) {
+              NetContext* ctx = &cl->ctx;
+              const uint64_t before = ctx->sim_ns;
+              ctx->op_tag = OpTag(r.client, cl->issued);
+              Status st = op(r.client, cl->issued, ctx, &cl->rng);
+              part.Count(st, ctx->sim_ns - before, ctx->tenant, observe);
+              if (record) {
+                part.records.push_back(LoadReport::OpTrace{
+                    before, ctx->sim_ns, r.client, cl->issued, st.code()});
+              }
+              if (opts.think_ns > 0) ctx->Charge(opts.think_ns);
+              if (++cl->issued < opts.ops_per_client) {
+                part.heap.push({ctx->sim_ns, r.client});
+              }
+            },
+            &report);
+
+  FoldPartitionCounters(&parts, &report);
+  report.per_client_sim_ns.resize(opts.clients);
   for (uint64_t c = 0; c < opts.clients; c++) {
-    rngs.emplace_back(ClientSeed(opts.seed, c));
+    const NetContext& ctx = parts[c % P].clients[c / P].ctx;
+    report.per_client_sim_ns[c] = ctx.sim_ns;
+    report.makespan_ns = std::max(report.makespan_ns, ctx.sim_ns);
+    AccumulateTraffic(&report.total, ctx);
   }
-
-  // Round-robin client→partition assignment (client % P): part of the
-  // determinism contract's config, never a runtime decision.
-  std::vector<Partition> parts(P);
-  for (uint64_t c = 0; c < opts.clients; c++) parts[c % P].heap.push({0, c});
-
-  EpochPool pool(opts.parallel.threads, P);
-  SloController* const ctrl = opts.parallel.controller;
-  MembershipService* const member = opts.parallel.membership;
-  uint64_t epoch_end = epoch_ns;
-  for (;;) {
-    pool.Run([&](uint32_t p) {
-      Partition& part = parts[p];
-      PartitionEffectsScope scope(&part.effects);
-      while (!part.heap.empty() && part.heap.top().at_ns < epoch_end) {
-        const Runnable r = part.heap.top();
-        part.heap.pop();
-        NetContext* ctx = &ctxs[r.client];
-        const uint64_t before = ctx->sim_ns;
-        ctx->op_tag = OpTag(r.client, issued[r.client]);
-        Status st = op(r.client, issued[r.client], ctx, &rngs[r.client]);
-        part.ops++;
-        if (!st.ok()) {
-          part.errors++;
-          if (st.IsBusy()) part.busy++;
-        }
-        part.latency.Record(ctx->sim_ns - before);
-        if (ctrl != nullptr) {
-          part.obs[ctx->tenant].Add(ctx->sim_ns - before, st);
-        }
-        if (record) {
-          part.records.push_back(LoadReport::OpTrace{
-              before, ctx->sim_ns, r.client, issued[r.client], st.code()});
-        }
-        if (opts.think_ns > 0) ctx->Charge(opts.think_ns);
-        if (++issued[r.client] < opts.ops_per_client) {
-          part.heap.push({ctx->sim_ns, r.client});
-        }
-      }
+  report.total.sim_ns = report.makespan_ns;  // MergeParallel's max
+  if (record) {
+    report.trace.reserve(report.ops);
+    MergeRecords(&parts, [&report](const LoadReport::OpTrace& t) {
+      report.trace.push_back(t);
     });
-    report.epochs++;
-    for (Partition& part : parts) MergeEffects(&part.effects);
-    ControllerBarrier(ctrl, &parts, epoch_end);
-    // Membership runs after the controller, with workers parked: heartbeat
-    // rounds, revocations and repairs land between epochs, never inside one.
-    if (member != nullptr) member->EndEpoch(epoch_end);
-
-    const uint64_t next = MinPending(parts);
-    if (next == std::numeric_limits<uint64_t>::max()) break;
-    // Skip empty epochs: jump straight to the epoch holding the earliest
-    // pending event (same epoch boundaries as stepping one by one).
-    epoch_end = EpochEndFor(next, epoch_ns);
   }
-
-  FinalizeCounters(ctxs, &parts, &report);
-  if (record) report.trace = SortedRecords(&parts);
   return report;
 }
 
@@ -291,83 +400,68 @@ LoadReport RunEpochOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op) {
 
   const uint32_t P = static_cast<uint32_t>(
       std::min<uint64_t>(opts.parallel.partitions, opts.clients));
-  const uint64_t epoch_ns =
-      opts.parallel.epoch_ns > 0 ? opts.parallel.epoch_ns : kDefaultEpochNs;
+  const bool observe = opts.parallel.controller != nullptr;
 
-  std::vector<NetContext> accs(opts.clients);
-  std::vector<Random> rngs;
-  std::vector<Random> arrival_rngs;
-  std::vector<uint64_t> issued(opts.clients, 0);
-  rngs.reserve(opts.clients);
-  arrival_rngs.reserve(opts.clients);
-  for (uint64_t c = 0; c < opts.clients; c++) {
-    rngs.emplace_back(ClientSeed(opts.seed, c));
-    arrival_rngs.emplace_back(ClientSeed(opts.seed, c) ^ internal::kArrivalSalt);
-  }
+  // Records are always kept open-loop: the queue-depth gauge is a post-pass
+  // over the canonical arrival order.
+  auto parts = MakePartitions<OpenClient>(
+      P, opts.clients, opts.ops_per_client, /*record=*/true,
+      [&](uint64_t c) {
+        return OpenClient{Random(ClientSeed(opts.seed, c)),
+                          Random(ClientSeed(opts.seed, c) ^
+                                 internal::kArrivalSalt),
+                          0, 0};
+      },
+      [&](uint64_t c, OpenClient* cl) {
+        return internal::FirstArrivalNs(opts, period_ns, c, &cl->arrival_rng);
+      });
 
-  std::vector<Partition> parts(P);
-  for (uint64_t c = 0; c < opts.clients; c++) {
-    parts[c % P].heap.push(
-        {internal::FirstArrivalNs(opts, period_ns, c, &arrival_rngs[c]), c});
-  }
-
-  EpochPool pool(opts.parallel.threads, P);
-  SloController* const ctrl = opts.parallel.controller;
-  MembershipService* const member = opts.parallel.membership;
-  uint64_t epoch_end = EpochEndFor(MinPending(parts), epoch_ns);
-  for (;;) {
-    pool.Run([&](uint32_t p) {
-      Partition& part = parts[p];
-      PartitionEffectsScope scope(&part.effects);
-      while (!part.heap.empty() && part.heap.top().at_ns < epoch_end) {
-        const Runnable a = part.heap.top();
-        part.heap.pop();
-        NetContext ctx = accs[a.client].Fork();
+  RunEpochs(
+      opts.parallel, EpochWidth(opts.parallel), &parts,
+      [&](Partition<OpenClient>& part, const Runnable& a, OpenClient* cl) {
+        // A fresh context clocked at the arrival instant: exactly what
+        // forking the serial driver's per-client accumulator yields (no
+        // tenant, deadline or fault draws carry over), and its traffic is
+        // summed per partition instead of per client — integer sums
+        // commute, so `report.total` is bit-identical.
+        NetContext ctx;
         ctx.sim_ns = a.at_ns;
-        ctx.op_tag = OpTag(a.client, issued[a.client]);
-        Status st = op(a.client, issued[a.client], &ctx, &rngs[a.client]);
-        part.ops++;
-        if (!st.ok()) {
-          part.errors++;
-          if (st.IsBusy()) part.busy++;
-        }
-        part.latency.Record(ctx.sim_ns - a.at_ns);
-        if (ctrl != nullptr) {
-          part.obs[ctx.tenant].Add(ctx.sim_ns - a.at_ns, st);
-        }
-        // Records are always kept open-loop: the queue-depth gauge is a
-        // post-pass over the canonical arrival order.
+        ctx.op_tag = OpTag(a.client, cl->issued);
+        Status st = op(a.client, cl->issued, &ctx, &cl->rng);
+        part.Count(st, ctx.sim_ns - a.at_ns, ctx.tenant, observe);
         part.records.push_back(LoadReport::OpTrace{
-            a.at_ns, ctx.sim_ns, a.client, issued[a.client], st.code()});
-        JoinParallel(&accs[a.client], &ctx, 1);
-        if (++issued[a.client] < opts.ops_per_client) {
+            a.at_ns, ctx.sim_ns, a.client, cl->issued, st.code()});
+        AccumulateTraffic(&part.traffic, ctx);
+        // A later arrival can finish first: keep the max, as JoinParallel.
+        cl->done_ns = std::max(cl->done_ns, ctx.sim_ns);
+        if (++cl->issued < opts.ops_per_client) {
           part.heap.push(
-              {a.at_ns +
-                   internal::NextGapNs(opts, period_ns,
-                                       &arrival_rngs[a.client]),
+              {a.at_ns + internal::NextGapNs(opts, period_ns, &cl->arrival_rng),
                a.client});
         }
-      }
-    });
-    report.epochs++;
-    for (Partition& part : parts) MergeEffects(&part.effects);
-    ControllerBarrier(ctrl, &parts, epoch_end);
-    if (member != nullptr) member->EndEpoch(epoch_end);
+      },
+      &report);
 
-    const uint64_t next = MinPending(parts);
-    if (next == std::numeric_limits<uint64_t>::max()) break;
-    epoch_end = EpochEndFor(next, epoch_ns);
+  FoldPartitionCounters(&parts, &report);
+  for (const Partition<OpenClient>& part : parts) {
+    AccumulateTraffic(&report.total, part.traffic);
   }
-
-  FinalizeCounters(accs, &parts, &report);
+  report.per_client_sim_ns.resize(opts.clients);
+  for (uint64_t c = 0; c < opts.clients; c++) {
+    const uint64_t done = parts[c % P].clients[c / P].done_ns;
+    report.per_client_sim_ns[c] = done;
+    report.makespan_ns = std::max(report.makespan_ns, done);
+  }
+  report.total.sim_ns = report.makespan_ns;  // MergeParallel's max
 
   // The in-flight gauge, replayed over the canonical order — one entry per
   // client in the arrival heap means serial pop order IS this order, so the
   // gauge is bit-identical to the serial driver's inline computation.
-  std::vector<LoadReport::OpTrace> ordered = SortedRecords(&parts);
+  const bool record = opts.parallel.record_trace;
+  if (record) report.trace.reserve(report.ops);
   std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<uint64_t>>
       completions;
-  for (const LoadReport::OpTrace& t : ordered) {
+  MergeRecords(&parts, [&](const LoadReport::OpTrace& t) {
     while (!completions.empty() && completions.top() <= t.arrival_ns) {
       completions.pop();
     }
@@ -375,8 +469,8 @@ LoadReport RunEpochOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op) {
     const uint64_t depth = completions.size();
     report.queue_depth.Record(depth);
     if (depth > report.max_in_flight) report.max_in_flight = depth;
-  }
-  if (opts.parallel.record_trace) report.trace = std::move(ordered);
+    if (record) report.trace.push_back(t);
+  });
   return report;
 }
 

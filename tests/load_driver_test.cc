@@ -211,6 +211,39 @@ TEST(LoadDriverTest, MakespanIsTheSlowestClientClock) {
   EXPECT_EQ(open.total.sim_ns, max_clock);
 }
 
+TEST(LoadDriverTest, OpenLoopClientClockIsItsLatestCompletion) {
+  // Open loop, a client's op 1 can finish before its op 0: op 0 costs 1 ms,
+  // op 1 arrives 10 us later and costs 100 ns. The client's clock is the
+  // latest completion (op 0's), never the last-issued op's, under the
+  // serial driver and the epoch driver alike.
+  constexpr uint64_t kClients = 16;
+  constexpr uint64_t kPeriodNs = 10'000;
+  auto op = [](uint64_t client, uint64_t index, NetContext* ctx, Random*) {
+    ctx->Charge(index == 0 ? 1'000'000 + client : 100);
+    return Status::OK();
+  };
+  for (uint32_t partitions : {0u, 1u, 8u}) {
+    sim::OpenLoopOptions opts;
+    opts.clients = kClients;
+    opts.ops_per_client = 2;
+    opts.ops_per_sec = 1e9 / kPeriodNs;
+    opts.process = sim::ArrivalProcess::kDeterministic;
+    opts.parallel.partitions = partitions;
+    opts.parallel.threads = 2;
+    const auto r = sim::RunOpenLoop(opts, op);
+    ASSERT_EQ(r.per_client_sim_ns.size(), kClients) << partitions;
+    uint64_t makespan = 0;
+    for (uint64_t c = 0; c < kClients; c++) {
+      const uint64_t first_arrival = kPeriodNs * c / kClients;
+      const uint64_t op0_done = first_arrival + 1'000'000 + c;
+      EXPECT_EQ(r.per_client_sim_ns[c], op0_done) << partitions << "/" << c;
+      makespan = std::max(makespan, op0_done);
+    }
+    EXPECT_EQ(r.makespan_ns, makespan) << partitions;
+    EXPECT_EQ(r.total.sim_ns, makespan) << partitions;
+  }
+}
+
 TEST(LoadDriverTest, DeterministicArrivalsAreExactlySpaced) {
   // 4 phase-staggered deterministic streams at 100k ops/s each: client c's
   // k-th arrival is at period*c/4 + k*period, so the slowest stream's last

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -10,6 +16,7 @@
 #include "net/fabric.h"
 #include "net/interceptors.h"
 #include "rindex/remote_btree.h"
+#include "sim/driver_internal.h"
 #include "sim/load_driver.h"
 
 namespace disagg {
@@ -27,13 +34,37 @@ namespace {
 //   4. `partitions > 1` conserves work: authoritative resource accounting
 //      equals the serial run's even though the interleaving differs.
 
+/// Every counter `NetContext` sums, the per-verb breakdown included: the
+/// open-loop driver folds op traffic per partition rather than per client,
+/// so each counter is pinned, not just the aggregate traffic fields.
+std::vector<uint64_t> Counters(const NetContext& c) {
+  std::vector<uint64_t> v = {c.sim_ns,
+                             c.bytes_out,
+                             c.bytes_in,
+                             c.round_trips,
+                             c.rpcs,
+                             c.retries,
+                             c.backoff_ns,
+                             c.faults_injected,
+                             c.queue_ns,
+                             c.admission_rejects,
+                             c.deadline_misses,
+                             c.hedges,
+                             c.hedge_wins,
+                             c.breaker_fast_fails,
+                             c.degraded_ops,
+                             c.staleness_lsn};
+  for (const VerbCounters& pv : c.per_verb) {
+    v.insert(v.end(), {pv.ops, pv.sim_ns, pv.bytes_out, pv.bytes_in});
+  }
+  return v;
+}
+
 /// Everything a LoadReport exposes, flattened for tuple comparison. The
 /// trace rides along separately (vector<OpTrace> has operator==).
 auto Flatten(const sim::LoadReport& r) {
   return std::make_tuple(
-      r.clients, r.ops, r.errors, r.busy, r.makespan_ns, r.total.sim_ns,
-      r.total.queue_ns, r.total.backoff_ns, r.total.bytes_out,
-      r.total.bytes_in, r.total.round_trips, r.total.admission_rejects,
+      r.clients, r.ops, r.errors, r.busy, r.makespan_ns, Counters(r.total),
       r.per_client_sim_ns, r.latency.count(), r.latency.min(),
       r.latency.max(), r.latency.Percentile(50), r.latency.Percentile(99),
       r.offered_ops_per_sec, r.max_in_flight, r.queue_depth.count(),
@@ -42,7 +73,8 @@ auto Flatten(const sim::LoadReport& r) {
 
 /// The adversarial rig: three congested memory nodes behind a shared
 /// backbone, WFQ across three tenants, bounded backlogs (admission
-/// rejections), a per-node circuit breaker, retries, and a tag-keyed fault
+/// rejections), hedged reads to a mirror node, per-op deadlines for one
+/// tenant, a per-node circuit breaker, retries, and a tag-keyed fault
 /// schedule with a virtual-time flap. Every order-sensitive shared-state
 /// path the epoch-parallel driver must exchange deterministically is live.
 struct FullStackRig {
@@ -63,6 +95,12 @@ struct FullStackRig {
     cfg.backbone = ResourceCapacity{150, 0.01, 2'000'000};
     cfg.tenant_weights = {{0, 4.0}, {1, 2.0}, {2, 1.0}};
     fabric.EnableCongestion(cfg);
+
+    HedgePolicy hedge;
+    hedge.hedge_delay_ns = 20'000;
+    hedge.replicas = {{nodes[0], nodes[1]}, {nodes[1], nodes[2]},
+                      {nodes[2], nodes[0]}};
+    fabric.AddInterceptor(std::make_shared<HedgeInterceptor>(hedge));
 
     RetryPolicy retry;
     retry.max_attempts = 3;
@@ -88,6 +126,7 @@ struct FullStackRig {
   sim::ClientOpFn Op() {
     return [this](uint64_t client, uint64_t, NetContext* ctx, Random* rng) {
       ctx->tenant = static_cast<uint32_t>(client % 3);
+      if (ctx->tenant == 2) ctx->deadline_ns = ctx->sim_ns + 25'000;
       char buf[2048];
       const size_t n = size_t{16} << rng->Uniform(7);  // 16..1024 bytes
       const uint64_t pick = rng->Uniform(3);
@@ -124,12 +163,23 @@ sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads) {
   return sim::RunOpenLoop(opts, rig.Op());
 }
 
+/// The rig really drives the robustness counters `Counters` pins.
+void ExpectStackExercised(const sim::LoadReport& r) {
+  EXPECT_GT(r.total.retries, 0u);
+  EXPECT_GT(r.total.faults_injected, 0u);
+  EXPECT_GT(r.total.hedges, 0u);
+  EXPECT_GT(r.total.hedge_wins, 0u);
+  EXPECT_GT(r.total.breaker_fast_fails, 0u);
+  EXPECT_GT(r.total.deadline_misses, 0u);
+}
+
 TEST(ParallelSimTest, ClosedLoopBitIdenticalAcrossThreadCounts) {
   const auto t1 = RunClosed(42, 8, 1);
   const auto t2 = RunClosed(42, 8, 2);
   const auto t8 = RunClosed(42, 8, 8);
   ASSERT_EQ(t1.ops, 24u * 50u);
   ASSERT_GT(t1.epochs, 1u);  // the run actually crossed barriers
+  ExpectStackExercised(t1);
   EXPECT_EQ(Flatten(t1), Flatten(t2));
   EXPECT_EQ(Flatten(t1), Flatten(t8));
   EXPECT_EQ(t1.trace, t2.trace);
@@ -144,6 +194,7 @@ TEST(ParallelSimTest, OpenLoopBitIdenticalAcrossThreadCounts) {
   const auto t8 = RunOpen(42, 8, 8);
   ASSERT_EQ(t1.ops, 24u * 50u);
   ASSERT_GT(t1.epochs, 1u);
+  ExpectStackExercised(t1);
   EXPECT_EQ(Flatten(t1), Flatten(t2));
   EXPECT_EQ(Flatten(t1), Flatten(t8));
   EXPECT_EQ(t1.trace, t2.trace);
@@ -432,6 +483,112 @@ TEST(ParallelSimTest, EpochWidthIsPartOfTheFunctionAndReproducible) {
     EXPECT_EQ(Flatten(a), Flatten(b)) << epoch_ns;
     EXPECT_EQ(a.trace, b.trace) << epoch_ns;
     EXPECT_EQ(a.ops, 12u * 25u) << epoch_ns;
+  }
+}
+
+TEST(ParallelSimTest, KWayMergeEqualsConcatenateAndSort) {
+  // Randomized per-partition runs built the way the driver builds them:
+  // each partition pops (arrival, client) from a heap holding one entry per
+  // client and reschedules the client at arrival + gap. Gaps are often 0
+  // (NextGapNs can return 0) and arrivals sit on a coarse grid, so equal
+  // arrival times collide within a client, within a partition and across
+  // partitions. Client counts below P leave some runs empty.
+  using Trace = sim::LoadReport::OpTrace;
+  using Event = std::pair<uint64_t, uint64_t>;  // (arrival, client)
+  Random rng(7);
+  for (int trial = 0; trial < 300; trial++) {
+    const uint32_t P = 1 + static_cast<uint32_t>(rng.Uniform(9));
+    const uint64_t clients = rng.Uniform(40);
+    const uint64_t ops = 1 + rng.Uniform(6);
+    std::vector<std::vector<Trace>> runs(P);
+    for (uint32_t p = 0; p < P; p++) {
+      std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
+      std::vector<uint64_t> issued(clients, 0);
+      for (uint64_t c = p; c < clients; c += P) {
+        heap.push({rng.Uniform(4) * 100, c});
+      }
+      while (!heap.empty()) {
+        const auto [at, c] = heap.top();
+        heap.pop();
+        runs[p].push_back(
+            Trace{at, at + rng.Uniform(500), c, issued[c], Status::Code::kOk});
+        if (++issued[c] < ops) {
+          heap.push({at + (rng.Bernoulli(0.4) ? 0 : rng.Uniform(3) * 100), c});
+        }
+      }
+    }
+
+    std::vector<Trace> expected;
+    std::vector<sim::internal::TraceRun> views;
+    for (const std::vector<Trace>& run : runs) {
+      expected.insert(expected.end(), run.begin(), run.end());
+      views.push_back({run.data(), run.data() + run.size()});
+    }
+    std::sort(expected.begin(), expected.end(), sim::internal::TraceLess);
+    std::vector<Trace> merged;
+    sim::internal::MergeTraceRuns(
+        views, [&merged](const Trace& t) { merged.push_back(t); });
+    ASSERT_EQ(merged, expected) << "trial " << trial;
+  }
+}
+
+TEST(ParallelSimTest, PoolShapesMatchOneThreadBitForBit) {
+  // More workers than partitions (8 for 3), threads = 0, and more
+  // partitions than clients (64 for 24, which clamps to 24): each shape
+  // must reproduce the threads=1 run of the same effective partition count.
+  struct Shape {
+    uint32_t partitions;
+    uint32_t threads;
+    uint32_t reference_partitions;
+  };
+  for (const Shape sh : {Shape{3, 8, 3}, Shape{3, 0, 3}, Shape{8, 0, 8},
+                         Shape{64, 8, 24}, Shape{64, 1, 24}}) {
+    const auto closed = RunClosed(42, sh.partitions, sh.threads);
+    const auto closed_ref = RunClosed(42, sh.reference_partitions, 1);
+    EXPECT_EQ(Flatten(closed), Flatten(closed_ref)) << sh.partitions << "x"
+                                                    << sh.threads;
+    EXPECT_EQ(closed.trace, closed_ref.trace);
+    const auto open = RunOpen(42, sh.partitions, sh.threads);
+    const auto open_ref = RunOpen(42, sh.reference_partitions, 1);
+    EXPECT_EQ(Flatten(open), Flatten(open_ref)) << sh.partitions << "x"
+                                                << sh.threads;
+    EXPECT_EQ(open.trace, open_ref.trace);
+  }
+}
+
+TEST(ParallelSimTest, ParkedWorkersWakeAcrossLongEmptyStretches) {
+  // Sparse arrivals (1 ms apart per client against 100 us epochs) leave
+  // long stretches of empty epochs for the driver to skip, and clients 0
+  // and 1 stall the host for 2 ms per op — far past the barrier's spin
+  // bound — so helpers park waiting for the next epoch (client 0 runs on
+  // the calling thread) and the caller parks waiting for a helper (client
+  // 1 does not). Every parked side must be woken, the pool must shut down
+  // cleanly, and the result must equal threads=1's bit for bit.
+  auto run = [](uint32_t threads) {
+    FullStackRig rig;
+    sim::OpenLoopOptions opts;
+    opts.clients = 6;
+    opts.ops_per_client = 5;
+    opts.ops_per_sec = 1'000;
+    opts.process = sim::ArrivalProcess::kDeterministic;
+    opts.seed = 42;
+    opts.parallel.partitions = 3;
+    opts.parallel.threads = threads;
+    opts.parallel.record_trace = true;
+    const sim::ClientOpFn op = rig.Op();
+    return sim::RunOpenLoop(opts, [&op](uint64_t client, uint64_t index,
+                                        NetContext* ctx, Random* rng) {
+      if (client < 2) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return op(client, index, ctx, rng);
+    });
+  };
+  const auto t1 = run(1);
+  ASSERT_EQ(t1.ops, 6u * 5u);
+  EXPECT_LT(t1.epochs, t1.makespan_ns / sim::kDefaultEpochNs);  // skipped
+  for (uint32_t threads : {2u, 3u, 8u}) {
+    const auto tn = run(threads);
+    EXPECT_EQ(Flatten(t1), Flatten(tn)) << threads;
+    EXPECT_EQ(t1.trace, tn.trace) << threads;
   }
 }
 
