@@ -60,7 +60,7 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
 
 /// The epoch-parallel driver configuration from the environment, for any
 /// bench built on sim::RunClosedLoop / sim::RunOpenLoop:
-///   DISAGG_SIM_PARTITIONS - client partitions (0 = legacy serial driver)
+///   DISAGG_SIM_PARTITIONS - client partitions (unset or 0 = one)
 ///   DISAGG_SIM_THREADS    - worker threads (execution resource only; the
 ///                           determinism contract keeps results identical
 ///                           at any value)
@@ -69,16 +69,18 @@ inline void ReportSim(benchmark::State& state, const NetContext& ctx,
 /// OpenLoopOptions::parallel.
 inline sim::ParallelConfig ParallelFromEnv() {
   sim::ParallelConfig parallel;
+  uint32_t partitions = 0;  // unset
   if (const char* env = std::getenv("DISAGG_SIM_PARTITIONS")) {
-    parallel.partitions = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
+    partitions = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
   }
   if (const char* env = std::getenv("DISAGG_SIM_THREADS")) {
     parallel.threads = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
     if (parallel.threads == 0) parallel.threads = 1;
-    // Threads without partitions would silently stay serial; give the
-    // sweep something to parallelize over.
-    if (parallel.partitions == 0) parallel.partitions = parallel.threads;
+    // Threads without partitions would all but one sit idle on a single
+    // partition; give the sweep something to parallelize over.
+    if (partitions == 0) partitions = parallel.threads;
   }
+  if (partitions > 0) parallel.partitions = partitions;
   return parallel;
 }
 

@@ -12,7 +12,7 @@
 #
 # --threads additionally replays each seed on the epoch-parallel load
 # driver at the given worker thread counts and asserts the traces match
-# the serial run bit for bit (DESIGN.md, "Parallel simulation"). Without
+# the threads=1 run bit for bit (DESIGN.md, "Parallel simulation"). Without
 # the flag the parallel replay still runs at the default counts {1,2,8}.
 set -euo pipefail
 

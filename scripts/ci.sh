@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification, sanitizer passes (ASan/UBSan over the fabric/txn
-# core, TSan over the threaded driver suites), and the chaos stage (fresh
+# Tier-1 verification, sanitizer passes (ASan/UBSan over every ctest suite,
+# TSan over the threaded driver suites), and the chaos stage (fresh
 # commit-derived seeds + mutation self-check).
 #
 #   scripts/ci.sh          # full: build + ctest + ASan/UBSan + TSan + chaos
@@ -21,7 +21,8 @@ cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L 'unit|property'
 # Cross-thread determinism suite: the epoch-parallel driver must produce
 # bit-identical counters and traces at thread counts 1/2/8 (and match the
-# serial driver at partitions=1) before anything downstream trusts it.
+# global-order reference loop at partitions=1) before anything downstream
+# trusts it.
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L 'parallel'
 ctest --test-dir build --output-on-failure -j "${JOBS}" -LE 'unit|property'
 
@@ -30,25 +31,18 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-# ASan/UBSan over the layers with the most concurrency and raw-pointer
-# traffic: the fabric op pipeline, the transaction stack, the chaos
-# harness (which exercises every engine's fault paths), and the
-# congestion/load-driver layer (virtual-time queueing + histogram math),
-# and the storage replicas, which keep redo as offsets into byte logs.
-SAN_TESTS=(net_test fabric_pipeline_test txn_test concurrency_test chaos_test
-           congestion_test load_driver_test histogram_test degrade_test
-           shared_log_test log_backend_parity_test parallel_sim_test
-           slo_controller_test memnode_executor_test membership_test
-           storage_services_test quorum_property_test)
+# ASan/UBSan over every ctest suite: one per tests/*_test.cc, the same glob
+# tests/CMakeLists.txt registers.
+SAN_TESTS=()
+for src in tests/*_test.cc; do SAN_TESTS+=("$(basename "${src}" .cc)"); done
 
-echo "==> sanitizer pass: ${SAN_TESTS[*]}"
+echo "==> sanitizer pass: all ${#SAN_TESTS[@]} suites"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" --target "${SAN_TESTS[@]}"
-ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-  -R "^($(IFS='|'; echo "${SAN_TESTS[*]}"))$"
+ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
 # ThreadSanitizer over the suites that run the epoch-parallel driver on
 # several threads. Its barrier is hand-rolled on atomics (spin, then park on
@@ -96,8 +90,8 @@ DISAGG_E22_ASSERT=1 ./build/bench/bench_e22_saturation \
 
 # E22 parallel-sweep smoke: a 10^5-client open-loop sweep through the
 # epoch-parallel driver. With DISAGG_E22_PARALLEL_ASSERT=1 the bench
-# re-runs the sweep at threads 1/2/8 and against the legacy serial driver
-# and asserts trace + counter bit-equality plus a hard wall-clock budget —
+# re-runs the sweep at threads 1/2/8 and asserts trace + counter
+# bit-equality plus a hard wall-clock budget —
 # the determinism contract (results are a function of seed and partition
 # count, never thread count) checked at CI scale.
 echo "==> E22 epoch-parallel sweep smoke (10^5 clients, threads 1/2/8)"
@@ -160,8 +154,8 @@ DISAGG_E28_ASSERT=1 ./build/bench/bench_e28_offload \
 # failed node revoked, repaired and rejoined (MTTR measured); the
 # Busy-walled node is never revoked (overload is an alive signal); the
 # no-recovery arm's availability sits strictly below self-heal's; and the
-# detector's decisions replay bit-identically at worker threads 1/2/8 and
-# serial vs partitions=1 (see bench_e29_selfheal's header).
+# detector's decisions replay bit-identically at worker threads 1/2/8 (see
+# bench_e29_selfheal's header).
 echo "==> E29 self-healing smoke (detector-driven vs scripted vs none)"
 DISAGG_E29_ASSERT=1 ./build/bench/bench_e29_selfheal \
   --benchmark_min_warmup_time=0 >/dev/null

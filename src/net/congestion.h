@@ -252,7 +252,7 @@ class CongestionState {
   /// partition-id order — a total order that is a pure function of the
   /// simulation config. With a single partition the shard copied exactly
   /// the authoritative state and the replay re-derives it bit for bit, so
-  /// stats match the serial driver's; with several, ops replay on top of
+  /// stats match an unsharded run's; with several, ops replay on top of
   /// sibling partitions' backlog, so authoritative ops/bytes/busy_ns are
   /// conserved exactly while free_ns/queue_ns reflect the merged order.
   void MergeShard(Shard* shard);

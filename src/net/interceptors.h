@@ -343,7 +343,7 @@ class CircuitBreakerInterceptor : public FabricInterceptor {
 
   /// Replays one partition's epoch of outcomes into the authoritative state
   /// machines and clears the shard for the next epoch. With one partition
-  /// this re-derives the serial transitions (and `opens()` count) bit for
+  /// this re-derives the unsharded transitions (and `opens()` count) bit for
   /// bit; with several, transitions reflect the merged partition order.
   void MergeShard(ShardState* shard);
 

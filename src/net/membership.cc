@@ -136,7 +136,7 @@ void MembershipService::AdvanceTo(uint64_t now_ns) {
     advancing_ = true;
     period = opts_.heartbeat_period_ns;
   }
-  // Impose the same barrier structure serial loops get from the drivers:
+  // Impose the barrier structure the load driver gives its runs:
   // one step per period boundary. The set of instants is a pure function
   // of the caller's (monotone) clock, so chaos replays are bit-identical.
   for (;;) {

@@ -9,11 +9,12 @@
 #include "common/random.h"
 #include "sim/load_driver.h"
 
-// Arithmetic shared verbatim by the serial (load_driver.cc) and
-// epoch-parallel (parallel_driver.cc) drivers. Single-sourcing it is what
-// makes "partitions == 1 reproduces the serial driver bit for bit" a
-// property of the code rather than a hope: both drivers draw the same
-// client seeds, the same arrival streams, and the same op tags.
+// Arithmetic shared verbatim by the load driver (load_driver.cc) and the
+// global-order reference loop in tests/parallel_sim_test.cc. Single-sourcing
+// it is what makes "partitions == 1 reproduces the global virtual-time
+// order bit for bit" a property of the schedule rather than of two copies
+// of the same formulas: both draw the same client seeds, the same arrival
+// streams, and the same op tags.
 
 namespace disagg {
 namespace sim {
@@ -41,16 +42,6 @@ inline uint64_t OpTag(uint64_t client, uint64_t op_index) {
   return mix | 1;  // 0 means "untagged"
 }
 
-/// Heap entry: the client's virtual clock, with the client id as a
-/// deterministic tie-break (lower id goes first at equal times).
-struct Runnable {
-  uint64_t at_ns;
-  uint64_t client;
-  bool operator>(const Runnable& o) const {
-    return at_ns != o.at_ns ? at_ns > o.at_ns : client > o.client;
-  }
-};
-
 /// Inter-arrival gap for one open-loop stream (`period_ns` = 1e9 / rate).
 inline uint64_t NextGapNs(const OpenLoopOptions& opts, double period_ns,
                           Random* arrival_rng) {
@@ -61,14 +52,6 @@ inline uint64_t NextGapNs(const OpenLoopOptions& opts, double period_ns,
   // of log is in (0, 1] and the gap is finite.
   const double u = arrival_rng->NextDouble();
   return static_cast<uint64_t>(-std::log(1.0 - u) * period_ns);
-}
-
-/// Epoch end for the epoch containing `at_ns` (epochs are half-open
-/// [k*epoch_ns, (k+1)*epoch_ns) windows of virtual time). Shared by the
-/// parallel driver's barrier schedule and the serial drivers' SLO-controller
-/// epoch hook, so both fire `EndEpoch` at identical instants.
-inline uint64_t EpochEndFor(uint64_t at_ns, uint64_t epoch_ns) {
-  return (at_ns / epoch_ns + 1) * epoch_ns;
 }
 
 /// First arrival of client `c`'s open-loop stream.
@@ -83,10 +66,9 @@ inline uint64_t FirstArrivalNs(const OpenLoopOptions& opts, double period_ns,
   return NextGapNs(opts, period_ns, arrival_rng);
 }
 
-/// Canonical trace order — identical to the serial driver's processing
-/// order (virtual-time heap, client-id tie-break, per-client op_index
-/// monotone). The key (arrival, client, op_index) is unique per record:
-/// total order, no comparator ambiguity.
+/// Canonical trace order — the global virtual-time order (client-id
+/// tie-break, per-client op_index monotone). The key (arrival, client,
+/// op_index) is unique per record: total order, no comparator ambiguity.
 inline bool TraceLess(const LoadReport::OpTrace& a,
                       const LoadReport::OpTrace& b) {
   if (a.arrival_ns != b.arrival_ns) return a.arrival_ns < b.arrival_ns;
@@ -101,7 +83,7 @@ struct TraceRun {
 };
 
 /// K-way merge: calls `visit(record)` for every record of every run in
-/// `TraceLess` order. The epoch driver's per-partition runs qualify as
+/// `TraceLess` order. The driver's per-partition runs qualify as
 /// they are: a partition records ops in heap-pop order, and since a client
 /// has one heap entry at a time and never schedules before its current
 /// event, that order is already sorted.

@@ -18,50 +18,46 @@ class MembershipService;  // src/net/membership.h
 
 namespace sim {
 
-/// Default virtual-time epoch width for the epoch-parallel driver (100 us):
-/// wide enough to amortize the barrier, narrow enough that cross-partition
-/// effect exchange stays timely at the congestion timescales the benches use.
+/// Default virtual-time epoch width (100 us): wide enough to amortize the
+/// barrier, narrow enough that cross-partition effect exchange stays timely
+/// at the congestion timescales the benches use.
 inline constexpr uint64_t kDefaultEpochNs = 100'000;
 
-/// Epoch-parallel execution of a load run (DESIGN.md "Parallel simulation").
-///
-/// With `partitions > 0` the driver splits clients into `partitions`
-/// round-robin partitions (client -> client % partitions) and advances them
-/// through bounded virtual-time epochs: within an epoch each partition runs
-/// independently against partition-local views of the order-sensitive
-/// shared state (congestion queues, breaker windows), then all partitions
-/// barrier and their effect logs replay into the authoritative state in
-/// partition-id order.
+/// How a load run executes (DESIGN.md "Parallel simulation"). Every run
+/// splits its clients into `partitions` round-robin partitions (client ->
+/// client % partitions) and advances them through bounded virtual-time
+/// epochs: within an epoch each partition runs independently against
+/// partition-local views of the order-sensitive shared state (congestion
+/// queues, breaker windows), then all partitions barrier and their effect
+/// logs replay into the authoritative state in partition-id order.
 ///
 /// The determinism contract: the result is a pure function of
 /// (seed, workload, `partitions`, `epoch_ns`) — `threads` is purely an
 /// execution resource and NEVER affects a single counter or trace bit
 /// (pinned by tests/parallel_sim_test.cc across thread counts 1/2/8).
-/// `partitions == 1` reproduces the legacy serial global-order schedule bit
-/// for bit; `partitions > 1` is its own (equally deterministic) schedule in
-/// which cross-partition interference at shared resources is exchanged at
-/// epoch granularity rather than per op.
+/// `partitions == 1` is the global virtual-time order — one heap over all
+/// clients, client-id tie-break — pinned bit for bit against a reference
+/// loop in that suite; `partitions > 1` is its own (equally deterministic)
+/// schedule in which cross-partition interference at shared resources is
+/// exchanged at epoch granularity rather than per op.
 struct ParallelConfig {
   uint32_t threads = 1;     ///< workers incl. the caller; 0 or 1 = inline
-                            ///< (execution resource only)
-  uint32_t partitions = 0;  ///< client partitions; 0 = legacy serial driver
+                            ///< (execution resource only; at most one per
+                            ///< partition is used)
+  uint32_t partitions = 1;  ///< client partitions; 0 is taken as 1
   uint64_t epoch_ns = 0;    ///< epoch width; 0 = kDefaultEpochNs
   bool record_trace = false;  ///< fill `LoadReport::trace` (one record/op)
 
   /// SLO control plane hook: when set, every completed op is reported to
   /// the controller (tenant taken from the op's context) and
-  /// `SloController::EndEpoch` fires at every epoch barrier. The serial
-  /// drivers (`partitions == 0`) impose the same `epoch_ns` epoch structure
-  /// when a controller is attached, firing `EndEpoch` at identical virtual
-  /// instants as the parallel driver — controller decisions are a pure
-  /// function of (seed, workload, partitions, epoch_ns), never of
-  /// `threads`. Not owned.
+  /// `SloController::EndEpoch` fires at every epoch barrier, so controller
+  /// decisions are a pure function of (seed, workload, partitions,
+  /// epoch_ns), never of `threads`. Not owned.
   SloController* controller = nullptr;
 
   /// Fleet membership hook: when set, `MembershipService::EndEpoch` fires at
   /// every epoch barrier (after the SLO controller's), so heartbeat rounds,
-  /// suspicion updates, lease revocations, and orchestrated repairs execute
-  /// at the same virtual instants under the serial and parallel drivers —
+  /// suspicion updates, lease revocations, and orchestrated repairs are a
   /// pure function of (seed, workload, partitions, epoch_ns), never of
   /// `threads`. Not owned.
   MembershipService* membership = nullptr;
@@ -69,7 +65,7 @@ struct ParallelConfig {
 
 /// Options for one closed-loop load run: N logical clients, each issuing
 /// `ops_per_client` operations back to back (plus optional think time),
-/// interleaved in *virtual* time on one OS thread.
+/// interleaved in *virtual* time; `parallel` says on how many OS threads.
 struct LoadOptions {
   uint64_t clients = 1;
   uint64_t ops_per_client = 100;
@@ -151,9 +147,9 @@ struct LoadReport {
 
   /// One record per op when `ParallelConfig::record_trace` is set: the
   /// trace the determinism suite compares bit for bit. Canonical order is
-  /// (arrival_ns, client, op_index) — which is exactly the serial driver's
-  /// processing order (virtual-time heap with client-id tie-break), so
-  /// serial and epoch-parallel traces are directly comparable.
+  /// (arrival_ns, client, op_index) — the global virtual-time order with
+  /// client-id tie-break — whatever the partition count, so traces of
+  /// different partition and thread counts are directly comparable.
   struct OpTrace {
     uint64_t arrival_ns = 0;  ///< when the op was issued (closed loop: the
                               ///< client's clock before the op)
@@ -165,8 +161,7 @@ struct LoadReport {
   };
   std::vector<OpTrace> trace;
 
-  /// Epoch barriers the run crossed (0 on the legacy serial path, unless an
-  /// SLO controller imposed its epoch structure there).
+  /// Epoch barriers the run crossed (empty epochs are skipped, not counted).
   uint64_t epochs = 0;
 
   double ThroughputOpsPerSec() const {
@@ -186,9 +181,9 @@ struct LoadReport {
 /// non-decreasing — and it makes the whole run a pure function of (`opts`,
 /// the op closure): same seed, same trace, bit for bit.
 ///
-/// With `opts.parallel.partitions > 0` the run executes on the
-/// epoch-parallel engine instead (see `ParallelConfig`); the same
-/// determinism holds with `threads` excluded from the function.
+/// With `opts.parallel.partitions > 1` the order is global within each
+/// partition and exchanged at epoch barriers across them (see
+/// `ParallelConfig`); the same determinism holds, `threads` excluded.
 LoadReport RunClosedLoop(const LoadOptions& opts, const ClientOpFn& op);
 
 /// Runs `opts.clients` open-loop arrival streams against `op`. Arrival
@@ -203,9 +198,7 @@ LoadReport RunClosedLoop(const LoadOptions& opts, const ClientOpFn& op);
 /// closed-loop clients cannot reach. Deterministic: same options, same
 /// trace, bit for bit.
 ///
-/// With `opts.parallel.partitions > 0` the run executes on the
-/// epoch-parallel engine instead (see `ParallelConfig`); the same
-/// determinism holds with `threads` excluded from the function.
+/// Partitions and threads work as in `RunClosedLoop`.
 LoadReport RunOpenLoop(const OpenLoopOptions& opts, const ClientOpFn& op);
 
 }  // namespace sim

@@ -447,13 +447,14 @@ TEST(ChaosReplayTest, ReplaySeedsFromEnv) {
 }
 
 // A seeded chaos schedule under the epoch-parallel driver replays bit for
-// bit against the serial driver, at any thread count: the schedule's
-// drop/spike probabilities become a tag-keyed FaultPolicy and its flap
-// windows become virtual-time windows (both pure functions of the logical
-// op, not of execution order), so the whole faulted run falls under the
-// driver's determinism contract. Seeds come from DISAGG_CHAOS_SEEDS when
-// set (the chaos_replay.sh path), else a fixed corpus; thread counts from
-// DISAGG_CHAOS_THREADS (chaos_replay.sh --threads), else {1, 2, 8}.
+// bit against its threads=1, partitions=1 run, at any thread count: the
+// schedule's drop/spike probabilities become a tag-keyed FaultPolicy and
+// its flap windows become virtual-time windows (both pure functions of the
+// logical op, not of execution order), so the whole faulted run falls
+// under the driver's determinism contract. Seeds come from
+// DISAGG_CHAOS_SEEDS when set (the chaos_replay.sh path), else a fixed
+// corpus; thread counts from DISAGG_CHAOS_THREADS (chaos_replay.sh
+// --threads), else {1, 2, 8}.
 TEST(ChaosParallelReplayTest, ScheduleReplaysIdenticallyAcrossThreads) {
   SKIP_UNDER_MUTATION();
   auto parse = [](const char* env) {
@@ -536,19 +537,19 @@ TEST(ChaosParallelReplayTest, ScheduleReplaysIdenticallyAcrossThreads) {
   };
 
   for (uint64_t seed : seeds) {
-    const LoadReport serial = run(seed, 0, 1);
-    ASSERT_GT(serial.ops, 0u);
+    const LoadReport ref = run(seed, 1, 1);
+    ASSERT_GT(ref.ops, 0u);
     for (uint64_t t : threads) {
       const LoadReport par = run(seed, 1, static_cast<uint32_t>(t));
-      EXPECT_EQ(serial.trace, par.trace) << "seed=" << seed << " t=" << t;
-      EXPECT_EQ(serial.ops, par.ops) << seed;
-      EXPECT_EQ(serial.errors, par.errors) << seed;
-      EXPECT_EQ(serial.total.sim_ns, par.total.sim_ns) << seed;
-      EXPECT_EQ(serial.total.backoff_ns, par.total.backoff_ns) << seed;
-      EXPECT_EQ(serial.total.bytes_in, par.total.bytes_in) << seed;
+      EXPECT_EQ(ref.trace, par.trace) << "seed=" << seed << " t=" << t;
+      EXPECT_EQ(ref.ops, par.ops) << seed;
+      EXPECT_EQ(ref.errors, par.errors) << seed;
+      EXPECT_EQ(ref.total.sim_ns, par.total.sim_ns) << seed;
+      EXPECT_EQ(ref.total.backoff_ns, par.total.backoff_ns) << seed;
+      EXPECT_EQ(ref.total.bytes_in, par.total.bytes_in) << seed;
     }
     // P=8 is a different deterministic schedule: it must reproduce itself
-    // across thread counts even though it differs from serial.
+    // across thread counts even though it differs from P=1.
     const LoadReport p8_a = run(seed, 8, 1);
     for (uint64_t t : threads) {
       const LoadReport p8_b = run(seed, 8, static_cast<uint32_t>(t));

@@ -142,7 +142,7 @@ TEST(LoadDriverTest, ClosedLoopOneClientReproducesManualLoopExactly) {
 }
 
 TEST(LoadDriverTest, OffloadedLockWorkloadIsBitIdenticalAndCountsRpcs) {
-  // The serial driver over the memory-node executor's lock table: same seed
+  // The load driver over the memory-node executor's lock table: same seed
   // -> bit-identical report, and the op stream's RPC arithmetic is exact —
   // each op is one `exec.lock.acquire` Call plus one `exec.lock.release`
   // per 4-op window, with no one-sided verbs at all on the offloaded path.
@@ -214,8 +214,8 @@ TEST(LoadDriverTest, MakespanIsTheSlowestClientClock) {
 TEST(LoadDriverTest, OpenLoopClientClockIsItsLatestCompletion) {
   // Open loop, a client's op 1 can finish before its op 0: op 0 costs 1 ms,
   // op 1 arrives 10 us later and costs 100 ns. The client's clock is the
-  // latest completion (op 0's), never the last-issued op's, under the
-  // serial driver and the epoch driver alike.
+  // latest completion (op 0's), never the last-issued op's, at any
+  // partition count (0 is taken as 1).
   constexpr uint64_t kClients = 16;
   constexpr uint64_t kPeriodNs = 10'000;
   auto op = [](uint64_t client, uint64_t index, NetContext* ctx, Random*) {

@@ -112,7 +112,7 @@ TEST_F(MembershipTest, BusyIsAnAliveSignalNeverAFailure) {
   class BusyWall : public FabricInterceptor {
    public:
     const char* name() const override { return "busy-wall"; }
-    Status Intercept(Fabric*, FabricOp* op, NetContext* ctx,
+    Status Intercept(Fabric*, FabricOp*, NetContext* ctx,
                      const FabricOpInvoker&) override {
       ctx->Charge(100);
       return Status::Busy("admission queue full");
@@ -336,21 +336,9 @@ TEST(MembershipDeterminismTest, DecisionsAreBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1.errors, t8.errors);
 }
 
-TEST(MembershipDeterminismTest, SerialAndSinglePartitionRunsMatchBitForBit) {
-  const FleetRun serial = RunFleet(1, 0);   // legacy serial driver
-  const FleetRun p1 = RunFleet(1, 1);       // epoch-parallel, one partition
-
-  ASSERT_GE(serial.events.size(), 3u);
-  EXPECT_EQ(serial.events, p1.events);
-  EXPECT_EQ(serial.trace, p1.trace);
-  EXPECT_EQ(serial.errors, p1.errors);
-  EXPECT_EQ(serial.ops, p1.ops);
-}
-
 // With a membership service attached but monitoring nothing, every workload
 // counter must be bit-identical to a run with no membership at all — the
-// unconfigured seam costs nothing (only the epoch counter, which the serial
-// driver maintains whenever a barrier consumer is attached, may differ).
+// unconfigured seam costs nothing.
 TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
   auto run = [](bool attach) {
     Fabric fabric;
@@ -378,6 +366,7 @@ TEST(MembershipDeterminismTest, UnconfiguredServiceIsInvisibleToTheWorkload) {
   const sim::LoadReport without = run(false);
   const sim::LoadReport with = run(true);
   EXPECT_EQ(without.trace, with.trace);
+  EXPECT_EQ(without.epochs, with.epochs);
   EXPECT_EQ(without.errors, with.errors);
   EXPECT_EQ(without.total.sim_ns, with.total.sim_ns);
   EXPECT_EQ(without.total.rpcs, with.total.rpcs);

@@ -28,11 +28,13 @@ namespace {
 //      any thread count {1, 2, 8}: bit-identical counters AND trace, for
 //      both loop disciplines, with the full stack enabled (congestion +
 //      WFQ + admission control + breakers + retry + tag-keyed faults).
-//   2. `partitions == 1` reproduces the legacy serial driver bit for bit.
+//   2. `partitions == 1` reproduces the global virtual-time order bit for
+//      bit: a test-only reference loop (`ReferenceClosedLoop` and
+//      `ReferenceOpenLoop` below) is the oracle.
 //   3. Equal virtual timestamps order deterministically by (client id,
 //      op seq) — pinned by a deliberately engineered timestamp collision.
 //   4. `partitions > 1` conserves work: authoritative resource accounting
-//      equals the serial run's even though the interleaving differs.
+//      equals the one-partition run's even though the interleaving differs.
 
 /// Every counter `NetContext` sums, the per-verb breakdown included: the
 /// open-loop driver folds op traffic per partition rather than per client,
@@ -137,8 +139,106 @@ struct FullStackRig {
   }
 };
 
+/// Oracle: the global virtual-time order with no epochs, effect shards,
+/// controller or membership. One heap of (clock, client) over all clients,
+/// lower client first at equal clocks; pop the minimum, run the op, push the
+/// client's next event. Seeds, arrival streams and op tags come from
+/// driver_internal.h, so this pins the schedule, not the formulas.
+using Event = std::pair<uint64_t, uint64_t>;  // (virtual clock, client)
+using EventHeap =
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
+
+void Account(sim::LoadReport* r, const sim::LoadReport::OpTrace& t,
+             const Status& st) {
+  r->ops++;
+  if (!st.ok()) r->errors++;
+  if (st.IsBusy()) r->busy++;
+  r->latency.Record(t.done_ns - t.arrival_ns);
+  r->trace.push_back(t);
+}
+
+sim::LoadReport ReferenceClosedLoop(const sim::LoadOptions& opts,
+                                    const sim::ClientOpFn& op) {
+  sim::LoadReport r;
+  r.clients = opts.clients;
+  std::vector<NetContext> ctxs(opts.clients);
+  std::vector<Random> rngs;
+  std::vector<uint64_t> issued(opts.clients, 0);
+  EventHeap ready;
+  for (uint64_t c = 0; c < opts.clients; c++) {
+    rngs.emplace_back(sim::internal::ClientSeed(opts.seed, c));
+    ready.push({0, c});
+  }
+  while (!ready.empty()) {
+    const auto [at, c] = ready.top();
+    ready.pop();
+    NetContext* ctx = &ctxs[c];
+    ctx->op_tag = sim::internal::OpTag(c, issued[c]);
+    const Status st = op(c, issued[c], ctx, &rngs[c]);
+    Account(&r, {at, ctx->sim_ns, c, issued[c], st.code()}, st);
+    ctx->Charge(opts.think_ns);
+    if (++issued[c] < opts.ops_per_client) ready.push({ctx->sim_ns, c});
+  }
+  for (const NetContext& ctx : ctxs) r.per_client_sim_ns.push_back(ctx.sim_ns);
+  MergeParallel(&r.total, ctxs.data(), ctxs.size());
+  r.makespan_ns = r.total.sim_ns;
+  return r;
+}
+
+sim::LoadReport ReferenceOpenLoop(const sim::OpenLoopOptions& opts,
+                                  const sim::ClientOpFn& op) {
+  sim::LoadReport r;
+  r.clients = opts.clients;
+  r.offered_ops_per_sec = opts.ops_per_sec * static_cast<double>(opts.clients);
+  r.per_client_sim_ns.assign(opts.clients, 0);
+  const double period_ns = 1e9 / opts.ops_per_sec;
+  std::vector<Random> rngs;
+  std::vector<Random> arrival_rngs;
+  std::vector<uint64_t> issued(opts.clients, 0);
+  EventHeap arrivals;
+  for (uint64_t c = 0; c < opts.clients; c++) {
+    rngs.emplace_back(sim::internal::ClientSeed(opts.seed, c));
+    arrival_rngs.emplace_back(sim::internal::ClientSeed(opts.seed, c) ^
+                              sim::internal::kArrivalSalt);
+    arrivals.push({sim::internal::FirstArrivalNs(opts, period_ns, c,
+                                                 &arrival_rngs.back()),
+                   c});
+  }
+  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<uint64_t>>
+      completions;  // of the ops in flight
+  while (!arrivals.empty()) {
+    const auto [at, c] = arrivals.top();
+    arrivals.pop();
+    NetContext ctx;
+    ctx.sim_ns = at;
+    ctx.op_tag = sim::internal::OpTag(c, issued[c]);
+    const Status st = op(c, issued[c], &ctx, &rngs[c]);
+    Account(&r, {at, ctx.sim_ns, c, issued[c], st.code()}, st);
+    AccumulateTraffic(&r.total, ctx);
+    r.per_client_sim_ns[c] = std::max(r.per_client_sim_ns[c], ctx.sim_ns);
+    r.makespan_ns = std::max(r.makespan_ns, ctx.sim_ns);
+    while (!completions.empty() && completions.top() <= at) completions.pop();
+    completions.push(ctx.sim_ns);
+    r.queue_depth.Record(completions.size());
+    r.max_in_flight = std::max<uint64_t>(r.max_in_flight, completions.size());
+    if (++issued[c] < opts.ops_per_client) {
+      arrivals.push(
+          {at + sim::internal::NextGapNs(opts, period_ns, &arrival_rngs[c]),
+           c});
+    }
+  }
+  r.total.sim_ns = r.makespan_ns;
+  return r;
+}
+
+using ClosedDriver = sim::LoadReport (*)(const sim::LoadOptions&,
+                                         const sim::ClientOpFn&);
+using OpenDriver = sim::LoadReport (*)(const sim::OpenLoopOptions&,
+                                       const sim::ClientOpFn&);
+
 sim::LoadReport RunClosed(uint64_t seed, uint32_t partitions,
-                          uint32_t threads) {
+                          uint32_t threads,
+                          ClosedDriver driver = &sim::RunClosedLoop) {
   FullStackRig rig;
   sim::LoadOptions opts;
   opts.clients = 24;
@@ -147,10 +247,11 @@ sim::LoadReport RunClosed(uint64_t seed, uint32_t partitions,
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  return sim::RunClosedLoop(opts, rig.Op());
+  return driver(opts, rig.Op());
 }
 
-sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads) {
+sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads,
+                        OpenDriver driver = &sim::RunOpenLoop) {
   FullStackRig rig;
   sim::OpenLoopOptions opts;
   opts.clients = 24;
@@ -160,7 +261,7 @@ sim::LoadReport RunOpen(uint64_t seed, uint32_t partitions, uint32_t threads) {
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  return sim::RunOpenLoop(opts, rig.Op());
+  return driver(opts, rig.Op());
 }
 
 /// The rig really drives the robustness counters `Counters` pins.
@@ -203,21 +304,21 @@ TEST(ParallelSimTest, OpenLoopBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelSimTest, SinglePartitionReproducesSerialDriverExactly) {
-  // partitions == 1 is the serial global-order schedule run through the
-  // epoch machinery (shard copy + replay, epoch barriers): the contract
-  // says that round trip is invisible, bit for bit — full stack enabled.
-  const auto serial_closed = RunClosed(42, 0, 1);  // partitions=0: legacy
+  // partitions == 1 is the global-order schedule run through the epoch
+  // machinery (shard copy + replay, epoch barriers): the contract says that
+  // round trip is invisible, bit for bit — full stack enabled.
+  const auto ref_closed = RunClosed(42, 1, 1, &ReferenceClosedLoop);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunClosed(42, 1, threads);
-    EXPECT_EQ(Flatten(serial_closed), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial_closed.trace, epoch.trace) << threads;
+    EXPECT_EQ(Flatten(ref_closed), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref_closed.trace, epoch.trace) << threads;
   }
 
-  const auto serial_open = RunOpen(42, 0, 1);
+  const auto ref_open = RunOpen(42, 1, 1, &ReferenceOpenLoop);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunOpen(42, 1, threads);
-    EXPECT_EQ(Flatten(serial_open), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial_open.trace, epoch.trace) << threads;
+    EXPECT_EQ(Flatten(ref_open), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref_open.trace, epoch.trace) << threads;
   }
 }
 
@@ -238,8 +339,8 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
   // Engineer a collision: every client starts at t=0 with a fixed-cost op,
   // so every epoch boundary has several clients tied at the same virtual
   // instant. The pinned tie-break is (client id, then per-client op seq):
-  // serial order must be round-robin by client id, and the canonical trace
-  // must be identical at any partition/thread count.
+  // the default one-partition order must be round-robin by client id, and
+  // the canonical trace must be identical at any partition/thread count.
   constexpr uint64_t kCost = 500;
   constexpr uint64_t kClients = 6;
   constexpr uint64_t kOps = 8;
@@ -252,14 +353,14 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
   opts.clients = kClients;
   opts.ops_per_client = kOps;
   opts.parallel.record_trace = true;
-  const auto serial = sim::RunClosedLoop(opts, fixed);
-  ASSERT_EQ(serial.trace.size(), kClients * kOps);
-  for (uint64_t i = 0; i < serial.trace.size(); i++) {
+  const auto p1 = sim::RunClosedLoop(opts, fixed);
+  ASSERT_EQ(p1.trace.size(), kClients * kOps);
+  for (uint64_t i = 0; i < p1.trace.size(); i++) {
     // Round k of the round-robin: client i%6 issuing its (i/6)-th op at
     // virtual time k*kCost. Any other order fails here.
-    EXPECT_EQ(serial.trace[i].arrival_ns, (i / kClients) * kCost) << i;
-    EXPECT_EQ(serial.trace[i].client, i % kClients) << i;
-    EXPECT_EQ(serial.trace[i].op_index, i / kClients) << i;
+    EXPECT_EQ(p1.trace[i].arrival_ns, (i / kClients) * kCost) << i;
+    EXPECT_EQ(p1.trace[i].client, i % kClients) << i;
+    EXPECT_EQ(p1.trace[i].op_index, i / kClients) << i;
   }
 
   for (uint32_t partitions : {1u, 2u, 4u}) {
@@ -267,7 +368,7 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
       opts.parallel.partitions = partitions;
       opts.parallel.threads = threads;
       const auto par = sim::RunClosedLoop(opts, fixed);
-      EXPECT_EQ(serial.trace, par.trace) << partitions << "x" << threads;
+      EXPECT_EQ(p1.trace, par.trace) << partitions << "x" << threads;
     }
   }
 }
@@ -275,8 +376,8 @@ TEST(ParallelSimTest, EqualTimestampsOrderByClientThenOpSeq) {
 TEST(ParallelSimTest, ContendedPartitionsConserveAuthoritativeAccounting) {
   // The epoch exchange must conserve work: after a P=2 run over a shared
   // congested node, the authoritative resource accounting (ops serviced,
-  // bytes, busy time) equals the serial run's exactly — the interleaving
-  // differs, the physics doesn't.
+  // bytes, busy time) equals the one-partition run's exactly — the
+  // interleaving differs, the physics doesn't.
   auto run = [](uint32_t partitions) {
     Fabric fabric;
     NodeId node =
@@ -300,11 +401,11 @@ TEST(ParallelSimTest, ContendedPartitionsConserveAuthoritativeAccounting) {
     return fabric.congestion()->NodeStats(node);
   };
 
-  const auto serial = run(0);
+  const auto whole = run(1);
   const auto sharded = run(2);
-  EXPECT_EQ(serial.ops, sharded.ops);
-  EXPECT_EQ(serial.bytes, sharded.bytes);
-  EXPECT_EQ(serial.busy_ns, sharded.busy_ns);
+  EXPECT_EQ(whole.ops, sharded.ops);
+  EXPECT_EQ(whole.bytes, sharded.bytes);
+  EXPECT_EQ(whole.busy_ns, sharded.busy_ns);
 }
 
 TEST(ParallelSimTest, RecordTraceToggleDoesNotChangeCounters) {
@@ -371,7 +472,7 @@ TEST(ParallelSimTest, BatchedWorkloadStaysBitIdenticalAcrossThreadCounts) {
 // one `exec.idx.get` RPC) on a congested pool node. Per-client lock keys
 // are disjoint, so lock-table mutations commute and the thread-invariance
 // contract must hold over the offloaded lock path bit for bit: threads
-// {1, 2, 8} at P=4, and partitions=1 reproducing the legacy serial driver.
+// {1, 2, 8} at P=4, and partitions=1 reproducing the reference loop.
 struct OffloadLockRig {
   Fabric fabric;
   MemoryNode pool{&fabric, "pool", 1 << 22};
@@ -416,7 +517,8 @@ struct OffloadLockRig {
 sim::LoadReport RunOffloadLocks(uint64_t seed, uint32_t partitions,
                                 uint32_t threads,
                                 MemNodeExecutor::Stats* stats = nullptr,
-                                size_t* leftover = nullptr) {
+                                size_t* leftover = nullptr,
+                                ClosedDriver driver = &sim::RunClosedLoop) {
   OffloadLockRig rig;
   sim::LoadOptions opts;
   opts.clients = 12;
@@ -425,7 +527,7 @@ sim::LoadReport RunOffloadLocks(uint64_t seed, uint32_t partitions,
   opts.parallel.partitions = partitions;
   opts.parallel.threads = threads;
   opts.parallel.record_trace = true;
-  auto report = sim::RunClosedLoop(opts, rig.Op());
+  auto report = driver(opts, rig.Op());
   if (stats != nullptr) *stats = rig.exec.stats();
   if (leftover != nullptr) {
     *leftover = rig.exec.active_locks() + rig.locks.pending_releases();
@@ -451,13 +553,14 @@ TEST(ParallelSimTest, OffloadedLockPathBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1.trace, t2.trace);
   EXPECT_EQ(t1.trace, t8.trace);
 
-  // partitions == 1 reproduces the legacy serial driver bit for bit, lock
-  // and traversal RPCs included.
-  const auto serial = RunOffloadLocks(42, 0, 1);
+  // partitions == 1 reproduces the reference loop bit for bit, lock and
+  // traversal RPCs included.
+  const auto ref =
+      RunOffloadLocks(42, 1, 1, nullptr, nullptr, &ReferenceClosedLoop);
   for (uint32_t threads : {1u, 2u, 8u}) {
     const auto epoch = RunOffloadLocks(42, 1, threads);
-    EXPECT_EQ(Flatten(serial), Flatten(epoch)) << threads;
-    EXPECT_EQ(serial.trace, epoch.trace) << threads;
+    EXPECT_EQ(Flatten(ref), Flatten(epoch)) << threads;
+    EXPECT_EQ(ref.trace, epoch.trace) << threads;
   }
 
   EXPECT_NE(Flatten(t1), Flatten(RunOffloadLocks(43, 4, 8)));
@@ -533,26 +636,29 @@ TEST(ParallelSimTest, KWayMergeEqualsConcatenateAndSort) {
 }
 
 TEST(ParallelSimTest, PoolShapesMatchOneThreadBitForBit) {
-  // More workers than partitions (8 for 3), threads = 0, and more
-  // partitions than clients (64 for 24, which clamps to 24): each shape
-  // must reproduce the threads=1 run of the same effective partition count.
+  // More workers than partitions (8 for 3), threads = 0, more partitions
+  // than clients (64 for 24, which clamps to 24), and partitions = 0 (taken
+  // as 1): each shape must reproduce the threads=1 run of the same
+  // effective partition count, epoch count included.
   struct Shape {
     uint32_t partitions;
     uint32_t threads;
     uint32_t reference_partitions;
   };
   for (const Shape sh : {Shape{3, 8, 3}, Shape{3, 0, 3}, Shape{8, 0, 8},
-                         Shape{64, 8, 24}, Shape{64, 1, 24}}) {
+                         Shape{64, 8, 24}, Shape{64, 1, 24}, Shape{0, 8, 1}}) {
     const auto closed = RunClosed(42, sh.partitions, sh.threads);
     const auto closed_ref = RunClosed(42, sh.reference_partitions, 1);
     EXPECT_EQ(Flatten(closed), Flatten(closed_ref)) << sh.partitions << "x"
                                                     << sh.threads;
     EXPECT_EQ(closed.trace, closed_ref.trace);
+    EXPECT_EQ(closed.epochs, closed_ref.epochs);
     const auto open = RunOpen(42, sh.partitions, sh.threads);
     const auto open_ref = RunOpen(42, sh.reference_partitions, 1);
     EXPECT_EQ(Flatten(open), Flatten(open_ref)) << sh.partitions << "x"
                                                 << sh.threads;
     EXPECT_EQ(open.trace, open_ref.trace);
+    EXPECT_EQ(open.epochs, open_ref.epochs);
   }
 }
 

@@ -540,54 +540,5 @@ TEST(SloControlLoopTest, ControllerDecisionsAreThreadCountInvariant) {
   EXPECT_EQ(t1.bound, t8.bound);
 }
 
-TEST(SloControlLoopTest, SerialControllerMatchesPartitionsOneBitForBit) {
-  // The serial driver imposes the parallel driver's epoch structure when a
-  // controller is attached: partitions=1 must reproduce the serial run —
-  // same EndEpoch instants, same observations, same decisions, same trace.
-  const ControlRun serial = RunControlled(0, 1);
-  const ControlRun p1 = RunControlled(1, 1);
-
-  EXPECT_EQ(serial.trace, p1.trace);
-  EXPECT_EQ(serial.makespan, p1.makespan);
-  EXPECT_EQ(serial.busy, p1.busy);
-  EXPECT_EQ(serial.epochs, p1.epochs);
-  EXPECT_EQ(serial.controller_state, p1.controller_state);
-  EXPECT_EQ(serial.weight, p1.weight);
-  EXPECT_EQ(serial.bound, p1.bound);
-}
-
-TEST(SloControlLoopTest, OpenLoopSerialMatchesPartitionsOne) {
-  // Same parity on the open-loop path (independent arrival streams, epoch
-  // seeding from the earliest arrival).
-  auto run = [](uint32_t partitions) {
-    Rig rig;
-    rig.fabric.DeclareSlo(1, SloSpec{6'500});
-    SloController ctrl(&rig.fabric, {});
-    sim::OpenLoopOptions opts;
-    opts.clients = 8;
-    opts.ops_per_client = 600;
-    opts.ops_per_sec = 150'000.0;  // aggregate 1.2M ops/s vs 1M capacity
-    opts.seed = 7;
-    opts.parallel.partitions = partitions;
-    opts.parallel.threads = partitions == 0 ? 1 : 2;
-    opts.parallel.record_trace = true;
-    opts.parallel.controller = &ctrl;
-    Fabric* fabric = &rig.fabric;
-    const NodeId node = rig.node;
-    MemoryRegion* region = rig.region;
-    auto report = sim::RunOpenLoop(
-        opts, [fabric, node, region](uint64_t client, uint64_t,
-                                     NetContext* ctx, Random* rng) {
-          ctx->tenant = client < 4 ? 1 : 2;
-          char buf[8];
-          GlobalAddr addr{node, region->id(), rng->Uniform(1024) * 8};
-          return fabric->Read(ctx, addr, buf, 8);
-        });
-    return std::make_tuple(report.trace, report.makespan_ns, report.epochs,
-                           ctrl.ToString());
-  };
-  EXPECT_EQ(run(0), run(1));
-}
-
 }  // namespace
 }  // namespace disagg
