@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification, sanitizer passes (ASan/UBSan over every ctest suite,
-# TSan over the threaded driver suites), and the chaos stage (fresh
-# commit-derived seeds + mutation self-check).
+# Tier-1 verification, the perfbench self-test, sanitizer passes (ASan/UBSan
+# over every ctest suite, TSan over the threaded driver suites), and the chaos
+# stage (fresh commit-derived seeds + mutation self-check).
 #
-#   scripts/ci.sh          # full: build + ctest + ASan/UBSan + TSan + chaos
-#   scripts/ci.sh --fast   # tier-1 only (skip sanitizer + chaos stages)
+#   scripts/ci.sh          # full: build + ctest + selftest + ASan/UBSan +
+#                          # TSan + chaos
+#   scripts/ci.sh --fast   # tier-1 only (skip selftest, sanitizer + chaos)
 #
 # Requires: cmake >= 3.16, a C++20 compiler, GTest and google-benchmark dev
 # packages (see .github/workflows/ci.yml for the Ubuntu package list).
@@ -30,6 +31,13 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping sanitizer pass"
   exit 0
 fi
+
+# Benchmark self-check: every perfbench workload at small size must pass its
+# read-back correctness checks and reproduce its simulated metrics bit for
+# bit across repetitions and thread counts. Builds into the git-ignored
+# .bench_build, so a library change that breaks a workload fails here.
+echo "==> perfbench self-test (workload correctness + determinism)"
+python3 perfbench/run.py --selftest
 
 # ASan/UBSan over every ctest suite: one per tests/*_test.cc, the same glob
 # tests/CMakeLists.txt registers.

@@ -154,6 +154,13 @@ Status RowEngine::Commit(NetContext* ctx, TxnId txn) {
 Status RowEngine::Abort(NetContext* ctx, TxnId txn) {
   const std::vector<LogRecord> undo = tm_.Abort(ctx, txn);  // newest first
   stats_.aborts++;
+  // The delete-undo CLRs below chain onto the abort record; end the chain
+  // however the rollback exits.
+  struct EndAbortOnExit {
+    TxnManager* tm;
+    TxnId txn;
+    ~EndAbortOnExit() { tm->EndAbort(txn); }
+  } end_abort{&tm_, txn};
   for (const LogRecord& r : undo) {
     DISAGG_ASSIGN_OR_RETURN(Page * page, GetPage(ctx, r.page_id));
     switch (r.type) {

@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -72,25 +74,40 @@ struct GlobalAddr {
 /// A registered memory region ("MR" in RDMA terms) hosted by a node. The
 /// bytes live in process memory; one-sided verbs copy directly in and out,
 /// exactly like DMA by a NIC, with no remote-CPU involvement.
+///
+/// The bytes are lazily zeroed: `calloc` of a large block maps fresh
+/// anonymous pages without writing them, so an untouched byte reads as zero
+/// and a pool costs host memory (and set-up time) only for the pages a verb
+/// or a server handler actually touches.
 class MemoryRegion {
  public:
   MemoryRegion(uint32_t id, std::string name, size_t size)
-      : id_(id), name_(std::move(name)), data_(size, 0) {}
+      : id_(id),
+        name_(std::move(name)),
+        size_(size),
+        data_(static_cast<char*>(std::calloc(size == 0 ? 1 : size, 1))) {
+    if (data_ == nullptr) throw std::bad_alloc();
+  }
 
   uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  size_t size() const { return data_.size(); }
-  char* data() { return data_.data(); }
-  const char* data() const { return data_.data(); }
+  size_t size() const { return size_; }
+  char* data() { return data_.get(); }
+  const char* data() const { return data_.get(); }
 
   bool Contains(uint64_t offset, size_t n) const {
-    return offset + n <= data_.size() && offset + n >= offset;
+    return offset + n <= size_ && offset + n >= offset;
   }
 
  private:
+  struct FreeDeleter {
+    void operator()(char* p) const { std::free(p); }
+  };
+
   uint32_t id_;
   std::string name_;
-  std::vector<char> data_;
+  size_t size_;
+  std::unique_ptr<char, FreeDeleter> data_;
 };
 
 /// Server-side context passed to RPC handlers so they can report the CPU work

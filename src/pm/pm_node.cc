@@ -23,11 +23,11 @@ PmNode::PmNode(Fabric* fabric, const std::string& name, size_t capacity_bytes)
 
 void PmNode::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
-  MemoryRegion* region = fabric_->node(pool_.node())->region(pool_.region());
+  Node* n = fabric_->node(pool_.node());
   // Undo in reverse order so overlapping writes restore correctly.
   for (auto it = staging_.rbegin(); it != staging_.rend(); ++it) {
-    std::memcpy(region->data() + it->offset, it->old_bytes.data(),
-                it->old_bytes.size());
+    std::memcpy(n->region(it->region)->data() + it->offset,
+                it->old_bytes.data(), it->old_bytes.size());
   }
   staging_.clear();
 }
@@ -37,12 +37,18 @@ size_t PmNode::staged_writes() const {
   return staging_.size();
 }
 
-void PmNode::StageWrite(uint64_t offset, size_t len) {
+void PmNode::StageWrite(GlobalAddr addr, size_t len) {
+  if (addr.node != pool_.node()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  MemoryRegion* region = fabric_->node(pool_.node())->region(pool_.region());
+  const MemoryRegion* region = fabric_->node(pool_.node())->region(addr.region);
+  // A write the fabric will refuse as out of bounds lands nothing, so there
+  // is nothing to undo.
+  if (region == nullptr || !region->Contains(addr.offset, len)) return;
   Staged s;
-  s.offset = offset;
-  s.old_bytes.assign(region->data() + offset, region->data() + offset + len);
+  s.region = addr.region;
+  s.offset = addr.offset;
+  s.old_bytes.assign(region->data() + addr.offset,
+                     region->data() + addr.offset + len);
   staging_.push_back(std::move(s));
 }
 
@@ -71,7 +77,7 @@ Status PmNode::HandlePersistWrite(Slice req, std::string* resp,
 }
 
 Status PmClient::WriteUnsafe(NetContext* ctx, GlobalAddr addr, Slice data) {
-  pm_->StageWrite(addr.offset, data.size());
+  pm_->StageWrite(addr, data.size());
   DISAGG_RETURN_NOT_OK(fabric_->Write(ctx, addr, data.data(), data.size()));
   // Media write cost is paid asynchronously by the DIMM; the visible latency
   // cost here is the RDMA write itself (already charged by the fabric).

@@ -48,12 +48,15 @@ class PmNode {
   /// Number of writes currently sitting in volatile buffers.
   size_t staged_writes() const;
 
-  // Internal: called by PmClient / the persist RPC handler.
-  void StageWrite(uint64_t offset, size_t len);
+  // Internal: called by PmClient / the persist RPC handler. StageWrite
+  // records the bytes a one-sided write to `addr` is about to overwrite; it
+  // stages nothing for a range outside this node's regions.
+  void StageWrite(GlobalAddr addr, size_t len);
   void MakeAllDurable();
 
  private:
   struct Staged {
+    uint32_t region;
     uint64_t offset;
     std::vector<char> old_bytes;
   };

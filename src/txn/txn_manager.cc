@@ -66,6 +66,7 @@ Status TxnManager::Commit(NetContext* ctx, TxnId txn) {
   commit.type = LogType::kTxnCommit;
   commit.page_id = kInvalidPageId;
   wal_->Append(std::move(commit));
+  wal_->EndChain(txn);
   Status st = wal_->Flush(ctx);  // durability point
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -89,11 +90,14 @@ std::vector<LogRecord> TxnManager::Abort(NetContext* ctx, TxnId txn) {
   // REDOES the rollback instead of replaying the aborted work. Insert/update
   // CLRs are fully determined here; delete-undo CLRs need the fresh slot the
   // engine re-inserts into, so the engine logs those via LogClr.
+  bool deletes_pending = false;
   for (const LogRecord& r : updates) {
     if (r.type == LogType::kInsert) {
       LogClr(txn, r.page_id, r.slot, "", r.lsn);
     } else if (r.type == LogType::kUpdate) {
       LogClr(txn, r.page_id, r.slot, r.undo_payload, r.lsn);
+    } else if (r.type == LogType::kDelete) {
+      deletes_pending = true;
     }
   }
   LogRecord abort;
@@ -101,6 +105,7 @@ std::vector<LogRecord> TxnManager::Abort(NetContext* ctx, TxnId txn) {
   abort.type = LogType::kTxnAbort;
   abort.page_id = kInvalidPageId;
   wal_->Append(std::move(abort));
+  if (!deletes_pending) wal_->EndChain(txn);
   locks_->ReleaseAllLocks(ctx, txn);
   return updates;
 }
@@ -110,6 +115,7 @@ void TxnManager::EndReadOnly(NetContext* ctx, TxnId txn) {
     std::lock_guard<std::mutex> lock(mu_);
     undo_.erase(txn);
   }
+  wal_->EndChain(txn);  // drops the chain its kTxnBegin opened
   locks_->ReleaseAllLocks(ctx, txn);
 }
 

@@ -59,9 +59,14 @@ class TxnManager {
   /// Logs compensation records (CLRs) for the rollback plus an abort
   /// record, and returns the transaction's updates in reverse order so the
   /// engine can undo them in its buffer. Releases locks. Delete-undo CLRs
-  /// are the engine's job (it knows the re-insert slot): call LogClr.
+  /// are the engine's job (it knows the re-insert slot): call LogClr, then
+  /// EndAbort. A rollback with no deletes ends the WAL chain here.
   std::vector<LogRecord> Abort(NetContext* ctx, TxnId txn);
   std::vector<LogRecord> Abort(TxnId txn) { return Abort(nullptr, txn); }
+
+  /// Ends an aborted transaction's WAL chain once the engine has logged its
+  /// delete-undo CLRs. A no-op if Abort already ended it.
+  void EndAbort(TxnId txn) { wal_->EndChain(txn); }
 
   /// Ends a transaction that logged nothing: just releases its locks. A
   /// read-only transaction has no durability point — no commit record, no

@@ -61,4 +61,14 @@ Lsn WalManager::LastLsnOf(TxnId txn) const {
   return it == last_lsn_.end() ? kInvalidLsn : it->second;
 }
 
+void WalManager::EndChain(TxnId txn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_lsn_.erase(txn);
+}
+
+size_t WalManager::open_chains() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_lsn_.size();
+}
+
 }  // namespace disagg

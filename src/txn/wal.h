@@ -102,6 +102,13 @@ class WalManager {
   /// Last LSN written by `txn` (for prev_lsn chaining), 0 if none.
   Lsn LastLsnOf(TxnId txn) const;
 
+  /// Forgets `txn`'s chain head once it can append no more records, so the
+  /// chain table holds only open transactions.
+  void EndChain(TxnId txn);
+
+  /// Transactions with a chain head (open, or ended without EndChain).
+  size_t open_chains() const;
+
  private:
   LogSink* sink_;
   mutable std::mutex mu_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <unistd.h>
 
 #include "common/coding.h"
 #include "net/fabric.h"
@@ -153,6 +155,114 @@ TEST_F(FabricTest, FailedNodeIsUnavailableUntilRevived) {
   EXPECT_FALSE(fabric_.CompareAndSwap(&ctx_, addr, 0, 1).ok());
   fabric_.node(mem_node_)->Revive();
   EXPECT_TRUE(fabric_.Read(&ctx_, addr, buf, 8).ok());
+}
+
+// Sanitizer runtimes keep shadow memory and allocator metadata of their own,
+// so the resident-set bound below only holds in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DISAGG_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DISAGG_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef DISAGG_TEST_SANITIZED
+// Resident set of this process in bytes, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+#endif
+
+TEST(MemoryRegionTest, HugeRegionIsLazilyZeroed) {
+#ifndef DISAGG_TEST_SANITIZED
+  const size_t rss_before = ResidentBytes();
+#endif
+  Fabric fabric;
+  const NodeId node =
+      fabric.AddNode("mem", NodeKind::kMemory, InterconnectModel::Rdma());
+  constexpr uint64_t kSize = uint64_t{1} << 30;
+  MemoryRegion* region = fabric.node(node)->AddRegion("huge", kSize);
+  ASSERT_EQ(region->size(), kSize);
+  NetContext ctx;
+  auto at = [&](uint64_t offset) {
+    return GlobalAddr{node, region->id(), offset};
+  };
+
+  // A few words touched far apart...
+  const uint64_t touched[] = {0, (kSize / 3) & ~uint64_t{7}, kSize - 8};
+  for (uint64_t off : touched) {
+    const uint64_t v = off + 1;
+    ASSERT_TRUE(fabric.Write(&ctx, at(off), &v, 8).ok());
+    auto back = fabric.ReadAtomic64(&ctx, at(off));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, off + 1);
+  }
+
+  // ...and every verb sees zero everywhere else. Each verb gets offsets of
+  // its own, since CAS and FetchAdd write what they find.
+  for (uint64_t i = 1; i <= 7; i++) {
+    const uint64_t base = i * (kSize / 8);
+    char buf[64];
+    std::memset(buf, 0x5a, sizeof(buf));
+    ASSERT_TRUE(fabric.Read(&ctx, at(base), buf, sizeof(buf)).ok());
+    EXPECT_EQ(std::string(buf, sizeof(buf)), std::string(sizeof(buf), '\0'));
+
+    auto word = fabric.ReadAtomic64(&ctx, at(base + 4096));
+    ASSERT_TRUE(word.ok());
+    EXPECT_EQ(*word, 0u);
+
+    auto cas = fabric.CompareAndSwap(&ctx, at(base + 2 * 4096), 0, 42);
+    ASSERT_TRUE(cas.ok());
+    EXPECT_EQ(*cas, 0u);  // expected 0 observed: the swap happened
+    auto swapped = fabric.ReadAtomic64(&ctx, at(base + 2 * 4096));
+    ASSERT_TRUE(swapped.ok());
+    EXPECT_EQ(*swapped, 42u);
+
+    auto faa = fabric.FetchAdd(&ctx, at(base + 3 * 4096), 5);
+    ASSERT_TRUE(faa.ok());
+    EXPECT_EQ(*faa, 0u);
+  }
+
+#ifndef DISAGG_TEST_SANITIZED
+  // Host memory follows the touched pages, not the provisioned gigabyte.
+  const size_t rss_after = ResidentBytes();
+  ASSERT_GT(rss_after, 0u);
+  EXPECT_LT(rss_after, rss_before + (size_t{32} << 20))
+      << "before=" << rss_before << " after=" << rss_after;
+#endif
+}
+
+TEST(MemoryRegionTest, EmptyRegionRefusesEveryNonEmptyVerb) {
+  Fabric fabric;
+  const NodeId node =
+      fabric.AddNode("mem", NodeKind::kMemory, InterconnectModel::Rdma());
+  MemoryRegion* region = fabric.node(node)->AddRegion("empty", 0);
+  EXPECT_EQ(region->size(), 0u);
+  EXPECT_FALSE(region->Contains(0, 1));
+  NetContext ctx;
+  const GlobalAddr addr{node, region->id(), 0};
+  char buf[8] = {0};
+  EXPECT_TRUE(fabric.Read(&ctx, addr, buf, 1).IsInvalidArgument());
+  EXPECT_TRUE(fabric.Write(&ctx, addr, buf, 1).IsInvalidArgument());
+  EXPECT_TRUE(
+      fabric.CompareAndSwap(&ctx, addr, 0, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(fabric.FetchAdd(&ctx, addr, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(fabric.ReadAtomic64(&ctx, addr).status().IsInvalidArgument());
+  std::vector<Fabric::WriteOp> batch = {{addr.remote(), buf, 1}};
+  EXPECT_TRUE(fabric.WriteBatch(&ctx, node, batch).IsInvalidArgument());
+  std::vector<Fabric::BatchOp> ops(1);
+  ops[0].addr = addr.remote();
+  ops[0].dst = buf;
+  ops[0].n = 1;
+  EXPECT_TRUE(fabric.ExecuteBatch(&ctx, node, &ops).IsInvalidArgument());
+  fabric.EnableOpBatching(true);  // the coalesced kBatch path checks too
+  EXPECT_TRUE(fabric.ExecuteBatch(&ctx, node, &ops).IsInvalidArgument());
 }
 
 TEST(InterconnectTest, LatencyOrderingMatchesPaper) {

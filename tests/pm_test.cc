@@ -68,6 +68,28 @@ TEST_F(PmNodeTest, CrashRestoresOverlappingWritesInOrder) {
   EXPECT_EQ(ReadBack(addr, 4), "BASE");
 }
 
+TEST_F(PmNodeTest, RejectedUnsafeWriteStagesNothing) {
+  GlobalAddr addr = Alloc(16);
+  ASSERT_TRUE(client_.WritePersistRpc(&ctx_, addr, "KEEP").ok());
+  MemoryRegion* region = fabric_.node(pm_.node())->region(pm_.region());
+  const std::string before(region->data(), region->size());
+  const std::string data(64, 'x');
+
+  // Past the end of the region, and into a region that does not exist: the
+  // fabric refuses both, and nothing is staged for Crash() to "restore".
+  GlobalAddr past_end = addr;
+  past_end.offset = region->size() - 8;
+  EXPECT_TRUE(client_.WriteUnsafe(&ctx_, past_end, data).IsInvalidArgument());
+  GlobalAddr bad_region = addr;
+  bad_region.region = pm_.region() + 7;
+  EXPECT_TRUE(
+      client_.WriteUnsafe(&ctx_, bad_region, data).IsInvalidArgument());
+  EXPECT_EQ(pm_.staged_writes(), 0u);
+
+  pm_.Crash();
+  EXPECT_TRUE(std::string(region->data(), region->size()) == before);
+}
+
 TEST_F(PmNodeTest, TwoSidedPersistBeatsOneSidedPersist) {
   // Kalia et al.'s counterintuitive result: the RPC path (1 round trip,
   // server-side persist) is faster than WRITE + flush-READ (2 round trips).

@@ -61,6 +61,63 @@ TEST(WalManagerTest, LsnsMonotonicAndChained) {
   EXPECT_EQ(wal.LastLsnOf(99), kInvalidLsn);
 }
 
+TEST(WalManagerTest, EndedTransactionsLeaveNoChainHead) {
+  LocalDiskSink sink;
+  WalManager wal(&sink);
+  LockManager locks;
+  TxnManager tm(&wal, &locks);
+  NetContext ctx;
+
+  // One transaction stays open across the whole loop.
+  const TxnId live = tm.Begin();
+  const Lsn first = tm.LogInsert(live, /*page=*/1, /*slot=*/0, "live");
+
+  for (int i = 0; i < 10000; i++) {
+    const TxnId t = tm.Begin();
+    (void)tm.LogUpdate(t, 1, 0, "a", "b");
+    switch (i % 4) {
+      case 0:
+        ASSERT_TRUE(tm.Commit(&ctx, t).ok());
+        break;
+      case 1:
+        (void)tm.Abort(t);  // no delete undo: Abort ends the chain
+        break;
+      case 2: {
+        (void)tm.LogDelete(t, 1, 0, "b");
+        (void)tm.Abort(t);
+        // The engine's delete-undo CLR still chains onto the abort record.
+        const Lsn abort_lsn = wal.LastLsnOf(t);
+        ASSERT_NE(abort_lsn, kInvalidLsn);
+        LogRecord clr;
+        clr.txn_id = t;
+        clr.type = LogType::kClr;
+        const Lsn clr_lsn = wal.Append(&clr);
+        EXPECT_EQ(clr.prev_lsn, abort_lsn);
+        EXPECT_EQ(wal.LastLsnOf(t), clr_lsn);
+        tm.EndAbort(t);
+        break;
+      }
+      default:
+        tm.EndReadOnly(t);
+        break;
+    }
+    EXPECT_EQ(wal.LastLsnOf(t), kInvalidLsn);
+  }
+  EXPECT_EQ(wal.open_chains(), 1u);  // just `live`
+  EXPECT_EQ(tm.active_txns(), 1u);
+
+  // The live transaction's chain is intact.
+  EXPECT_EQ(wal.LastLsnOf(live), first);
+  LogRecord next;
+  next.txn_id = live;
+  next.type = LogType::kInsert;
+  const Lsn second = wal.Append(&next);
+  EXPECT_EQ(next.prev_lsn, first);
+  EXPECT_EQ(wal.LastLsnOf(live), second);
+  ASSERT_TRUE(tm.Commit(&ctx, live).ok());
+  EXPECT_EQ(wal.open_chains(), 0u);
+}
+
 TEST(WalManagerTest, FlushDrainsBufferToSink) {
   LocalDiskSink sink;
   WalManager wal(&sink);
