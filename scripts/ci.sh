@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification, the perfbench self-test, sanitizer passes (ASan/UBSan
-# over every ctest suite, TSan over the threaded driver suites), and the chaos
+# over every ctest suite, TSan over all but concurrency_test), and the chaos
 # stage (fresh commit-derived seeds + mutation self-check).
 #
 #   scripts/ci.sh          # full: build + ctest + selftest + ASan/UBSan +
@@ -52,14 +52,18 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "${JOBS}" --target "${SAN_TESTS[@]}"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
-# ThreadSanitizer over the suites that run the epoch-parallel driver on
-# several threads. Its barrier is hand-rolled on atomics (spin, then park on
-# a condvar), so a missing acquire/release pair shows up here as a race.
-# concurrency_test stays out until the fabric's region accesses are
-# race-free (ROADMAP item 3). TSan exits non-zero on any report.
-TSAN_TESTS=(parallel_sim_test load_driver_test slo_controller_test
-            membership_test)
-echo "==> thread-sanitizer pass: ${TSAN_TESTS[*]}"
+# ThreadSanitizer over every suite but one, from the same glob. The
+# epoch-parallel driver's barrier is hand-rolled on atomics and the memory-
+# node executor nests the lock table's mutex inside its own, so a missing
+# acquire/release pair or a lock-order slip shows up here as a report.
+# concurrency_test stays out until the fabric's region accesses are race-
+# free (ROADMAP item 3): its one-sided memcpy and atomic CAS/FAA on the
+# same words are reported. TSan exits non-zero on any report.
+TSAN_TESTS=()
+for name in "${SAN_TESTS[@]}"; do
+  [[ "${name}" == concurrency_test ]] || TSAN_TESTS+=("${name}")
+done
+echo "==> thread-sanitizer pass: ${#TSAN_TESTS[@]} suites"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \

@@ -6,14 +6,98 @@
 
 #include "common/coding.h"
 #include "net/membership.h"
+#include "rindex/btree_ops.h"
 
 namespace disagg {
 
 namespace {
-// Mirrors the one-sided client's bounds (src/rindex/remote_btree.cc) so the
-// two protocols converge or starve under the same conditions.
-constexpr int kMaxOptimisticRetries = 64;
-constexpr int kMaxLockSpins = 100000;
+
+/// Region-local access policy for the shared B+tree ops (btree_ops.h): the
+/// executor runs on the pool node, so node images are memcpy'd and lock
+/// words are local atomics on the very bytes one-sided clients reach over
+/// the fabric. No fabric verbs: handlers must not re-enter the pipeline
+/// (the fabric-bypass rule in DESIGN.md).
+struct RegionAccess {
+  RegionAccess(Fabric* fabric, MemoryNode* pool,
+               const RemoteBTree::TreeRef& tree)
+      : pool(pool),
+        tree(tree),
+        base(fabric->node(tree.root_ptr.node)
+                 ->region(tree.root_ptr.region)
+                 ->data()) {}
+
+  MemoryNode* pool;
+  RemoteBTree::TreeRef tree;
+  char* base;
+  uint64_t visited = 0;  // nodes inspected: the weak-CPU model's unit
+  uint64_t splits = 0;
+
+  std::atomic<uint64_t>* Word(uint64_t offset) {
+    return reinterpret_cast<std::atomic<uint64_t>*>(base + offset);
+  }
+  std::atomic<uint64_t>* LockWord(uint64_t node_offset) {
+    return Word(tree.lock_table.offset +
+                BTreeLockSlot(node_offset, tree.lock_slots) * 8);
+  }
+
+  Result<uint64_t> ReadRoot() {
+    return Word(tree.root_ptr.offset)->load(std::memory_order_acquire);
+  }
+  Status ReadNode(uint64_t offset, BTreeNodeImage* out) {
+    visited++;
+    for (int retry = 0; retry < btree::kMaxOptimisticRetries; retry++) {
+      std::memcpy(out, base + offset, kBTreeNodeBytes);
+      if (out->version_front == out->version_back &&
+          out->version_front % 2 == 0) {
+        return Status::OK();
+      }
+      std::this_thread::yield();
+    }
+    // A torn image can only persist under a concurrent one-sided writer
+    // that died mid-write; accept the last copy (writers hold the lock
+    // word, so server-side mutations never observe this).
+    return Status::OK();
+  }
+  Status ReadNodeForDescent(uint64_t offset, BTreeNodeImage* out) {
+    return ReadNode(offset, out);
+  }
+  Status WriteNode(uint64_t offset, BTreeNodeImage* node) {
+    node->version_front += 2;
+    node->version_back = node->version_front;
+    std::memcpy(base + offset, node, kBTreeNodeBytes);
+    return Status::OK();
+  }
+  /// Spins on the shared lock word (interoperates with one-sided CAS);
+  /// Busy on starvation, per the status contract.
+  Status Lock(uint64_t node_offset) {
+    std::atomic<uint64_t>* word = LockWord(node_offset);
+    for (int spin = 0; spin < btree::kMaxLockSpins; spin++) {
+      uint64_t expected = 0;
+      if (word->compare_exchange_strong(expected, 1,
+                                        std::memory_order_acq_rel)) {
+        return Status::OK();
+      }
+      std::this_thread::yield();
+    }
+    return Status::Busy("lock acquisition starved");
+  }
+  void Unlock(uint64_t node_offset) {
+    LockWord(node_offset)->store(0, std::memory_order_release);
+  }
+  /// A local call: the allocator is co-located with the executor — the
+  /// near-data win.
+  Result<uint64_t> AllocNode() {
+    DISAGG_ASSIGN_OR_RETURN(GlobalAddr addr,
+                            pool->AllocLocal(kBTreeNodeBytes));
+    return addr.offset;
+  }
+  Status PublishRoot(uint64_t offset) {
+    Word(tree.root_ptr.offset)->store(offset, std::memory_order_release);
+    return Status::OK();
+  }
+  void CountSplit() { splits++; }
+};
+
 }  // namespace
 
 using offload::LockOutcome;
@@ -61,9 +145,19 @@ uint32_t MemNodeExecutor::RegisterTree(const RemoteBTree::TreeRef& tree) {
 
 void MemNodeExecutor::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
+  CrashLocked();
+}
+
+void MemNodeExecutor::CrashLocked() {
   fabric_->node(pool_->node())->Fail();
   crash_after_ = 0;
   stats_.crashes++;
+}
+
+void MemNodeExecutor::VoidGrantsLocked() {
+  locks_ = std::make_unique<LockManager>();
+  wounded_.clear();
+  epoch_++;
 }
 
 void MemNodeExecutor::Recover() {
@@ -72,10 +166,7 @@ void MemNodeExecutor::Recover() {
   // The executor's DRAM state (the lock table) died with it; the pool
   // region — the disaggregated memory — survives. Epoch bump fences every
   // grant the previous incarnation issued.
-  lock_table_.clear();
-  txns_.clear();
-  wounded_.clear();
-  epoch_++;
+  VoidGrantsLocked();
   stats_.recoveries++;
   // Recovery observes the current lease so the lazy re-fence in CheckAlive
   // does not bump the epoch a second time for the same incident.
@@ -104,7 +195,7 @@ uint64_t MemNodeExecutor::epoch() const {
 
 size_t MemNodeExecutor::active_locks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lock_table_.size();
+  return locks_->held_locks();
 }
 
 MemNodeExecutor::Stats MemNodeExecutor::stats() const {
@@ -121,231 +212,36 @@ Status MemNodeExecutor::CheckAlive() {
       // failure: the node may never have crashed hard). Every grant issued
       // under the old lease is void — same state transition as Recover(),
       // without touching node liveness: stale clients get kFenced.
-      lock_table_.clear();
-      txns_.clear();
-      wounded_.clear();
-      epoch_++;
+      VoidGrantsLocked();
       lease_epoch_seen_ = lease_epoch;
       stats_.lease_refences++;
     }
   }
   if (crash_after_ > 0 && --crash_after_ == 0) {
-    fabric_->node(pool_->node())->Fail();
-    stats_.crashes++;
+    CrashLocked();
     return Status::Unavailable("memory-node executor crashed mid-operation");
   }
   return Status::OK();
 }
 
-// ---- Region-local B+tree walker -------------------------------------------
-
-char* MemNodeExecutor::TreeBase(const RemoteBTree::TreeRef& tree) {
-  return fabric_->node(tree.root_ptr.node)->region(tree.root_ptr.region)
-      ->data();
+Result<RemoteBTree::TreeRef> MemNodeExecutor::FindTree(uint64_t id,
+                                                       uint64_t Stats::*op) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (id >= trees_.size()) return Status::InvalidArgument("unknown tree id");
+  stats_.*op += 1;
+  return trees_[id];
 }
 
-uint64_t MemNodeExecutor::LoadRoot(const RemoteBTree::TreeRef& tree) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.root_ptr.offset);
-  return word->load(std::memory_order_acquire);
+void MemNodeExecutor::ChargeTraversal(RpcServerContext* sctx, uint64_t visited,
+                                      uint64_t splits, size_t entries) {
+  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited +
+                      offload::kEntryNs * entries);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.nodes_visited += visited;
+  stats_.splits += splits;
 }
 
-void MemNodeExecutor::LoadNode(const RemoteBTree::TreeRef& tree,
-                               uint64_t offset, BTreeNodeImage* out,
-                               uint64_t* visited) {
-  char* base = TreeBase(tree);
-  (*visited)++;
-  for (int retry = 0; retry < kMaxOptimisticRetries; retry++) {
-    std::memcpy(out, base + offset, kBTreeNodeBytes);
-    if (out->version_front == out->version_back &&
-        out->version_front % 2 == 0) {
-      return;
-    }
-    std::this_thread::yield();
-  }
-  // A torn image can only persist under a concurrent one-sided writer that
-  // died mid-write; accept the last copy (writers hold the lock word, so
-  // server-side mutations never observe this).
-}
-
-void MemNodeExecutor::StoreNode(const RemoteBTree::TreeRef& tree,
-                                uint64_t offset, BTreeNodeImage* node) {
-  node->version_front += 2;
-  node->version_back = node->version_front;
-  std::memcpy(TreeBase(tree) + offset, node, kBTreeNodeBytes);
-}
-
-Status MemNodeExecutor::LockWordAcquire(const RemoteBTree::TreeRef& tree,
-                                        uint64_t slot) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.lock_table.offset + slot * 8);
-  for (int spin = 0; spin < kMaxLockSpins; spin++) {
-    uint64_t expected = 0;
-    if (word->compare_exchange_strong(expected, 1,
-                                      std::memory_order_acq_rel)) {
-      return Status::OK();
-    }
-    std::this_thread::yield();
-  }
-  return Status::Busy("lock acquisition starved");
-}
-
-void MemNodeExecutor::LockWordRelease(const RemoteBTree::TreeRef& tree,
-                                      uint64_t slot) {
-  auto* word = reinterpret_cast<std::atomic<uint64_t>*>(
-      TreeBase(tree) + tree.lock_table.offset + slot * 8);
-  word->store(0, std::memory_order_release);
-}
-
-void MemNodeExecutor::Descend(const RemoteBTree::TreeRef& tree, uint64_t key,
-                              std::vector<uint64_t>* path,
-                              BTreeNodeImage* leaf, uint64_t* visited) {
-  uint64_t offset = LoadRoot(tree);
-  BTreeNodeImage node;
-  while (true) {
-    LoadNode(tree, offset, &node, visited);
-    if (path != nullptr) path->push_back(offset);
-    if (node.level == 0) {
-      // B-link step: a concurrent split may have moved the key right.
-      while (node.nkeys > 0 && key > node.keys[node.nkeys - 1] &&
-             node.next != 0) {
-        offset = node.next;
-        if (path != nullptr) path->back() = offset;
-        LoadNode(tree, offset, &node, visited);
-      }
-      *leaf = node;
-      return;
-    }
-    uint32_t idx = 0;
-    while (idx + 1 < node.nkeys && node.keys[idx + 1] <= key) idx++;
-    offset = node.vals[idx];
-  }
-}
-
-namespace {
-
-/// Sorted insert of (key, value) into a node with room. Matches the
-/// one-sided client's layout logic exactly (bit-identical images).
-void InsertIntoNode(BTreeNodeImage* n, uint64_t key, uint64_t value) {
-  uint32_t pos = 0;
-  while (pos < n->nkeys && n->keys[pos] < key) pos++;
-  for (uint32_t i = n->nkeys; i > pos; i--) {
-    n->keys[i] = n->keys[i - 1];
-    n->vals[i] = n->vals[i - 1];
-  }
-  n->keys[pos] = key;
-  n->vals[pos] = value;
-  n->nkeys++;
-}
-
-}  // namespace
-
-Status MemNodeExecutor::InsertWithSplit(const RemoteBTree::TreeRef& tree,
-                                        uint64_t key, uint64_t value,
-                                        uint64_t* visited) {
-  constexpr uint32_t kFanout = BTreeNodeImage::kFanout;
-  DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, 0));  // SMO lock
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t leaf_slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, leaf_slot));
-    Status inner = [&]() -> Status {
-      LoadNode(tree, leaf_off, &leaf, visited);
-      for (uint32_t i = 0; i < leaf.nkeys; i++) {
-        if (leaf.keys[i] == key) {
-          leaf.vals[i] = value;
-          StoreNode(tree, leaf_off, &leaf);
-          return Status::OK();
-        }
-      }
-      if (leaf.nkeys < kFanout) {
-        InsertIntoNode(&leaf, key, value);
-        StoreNode(tree, leaf_off, &leaf);
-        return Status::OK();
-      }
-
-      // Split the leaf (allocation is a local call: the allocator is
-      // co-located with the executor — the near-data win).
-      stats_.splits++;
-      DISAGG_ASSIGN_OR_RETURN(GlobalAddr right_addr,
-                              pool_->AllocLocal(kBTreeNodeBytes));
-      const uint64_t right_off = right_addr.offset;
-      BTreeNodeImage right;
-      std::memset(&right, 0, sizeof(right));
-      const uint32_t half = kFanout / 2;
-      right.level = 0;
-      right.nkeys = kFanout - half;
-      std::memcpy(right.keys, leaf.keys + half, right.nkeys * 8);
-      std::memcpy(right.vals, leaf.vals + half, right.nkeys * 8);
-      right.next = leaf.next;
-      leaf.nkeys = half;
-      leaf.next = right_off;
-      InsertIntoNode(key >= right.keys[0] ? &right : &leaf, key, value);
-
-      // Publish right first, then the shrunk left (B-link ordering).
-      StoreNode(tree, right_off, &right);
-      StoreNode(tree, leaf_off, &leaf);
-
-      uint64_t sep = right.keys[0];
-      uint64_t child = right_off;
-      for (size_t depth = path.size(); depth-- > 1;) {
-        const uint64_t parent_off = path[depth - 1];
-        BTreeNodeImage parent;
-        LoadNode(tree, parent_off, &parent, visited);
-        if (parent.nkeys < kFanout) {
-          InsertIntoNode(&parent, sep, child);
-          StoreNode(tree, parent_off, &parent);
-          return Status::OK();
-        }
-        stats_.splits++;
-        DISAGG_ASSIGN_OR_RETURN(GlobalAddr iright_addr,
-                                pool_->AllocLocal(kBTreeNodeBytes));
-        const uint64_t iright_off = iright_addr.offset;
-        BTreeNodeImage iright;
-        std::memset(&iright, 0, sizeof(iright));
-        const uint32_t ihalf = kFanout / 2;
-        iright.level = parent.level;
-        iright.nkeys = kFanout - ihalf;
-        std::memcpy(iright.keys, parent.keys + ihalf, iright.nkeys * 8);
-        std::memcpy(iright.vals, parent.vals + ihalf, iright.nkeys * 8);
-        parent.nkeys = ihalf;
-        InsertIntoNode(sep >= iright.keys[0] ? &iright : &parent, sep, child);
-        StoreNode(tree, iright_off, &iright);
-        StoreNode(tree, parent_off, &parent);
-        sep = iright.keys[0];
-        child = iright_off;
-      }
-
-      // The root itself split: grow the tree.
-      DISAGG_ASSIGN_OR_RETURN(GlobalAddr root_addr,
-                              pool_->AllocLocal(kBTreeNodeBytes));
-      BTreeNodeImage new_root;
-      std::memset(&new_root, 0, sizeof(new_root));
-      BTreeNodeImage old_root;
-      LoadNode(tree, path[0], &old_root, visited);
-      new_root.level = old_root.level + 1;
-      new_root.nkeys = 2;
-      new_root.keys[0] = 0;  // leftmost separator: minus infinity
-      new_root.vals[0] = path[0];
-      new_root.keys[1] = sep;
-      new_root.vals[1] = child;
-      StoreNode(tree, root_addr.offset, &new_root);
-      auto* root_word = reinterpret_cast<std::atomic<uint64_t>*>(
-          TreeBase(tree) + tree.root_ptr.offset);
-      root_word->store(root_addr.offset, std::memory_order_release);
-      return Status::OK();
-    }();
-    LockWordRelease(tree, leaf_slot);
-    return inner;
-  }();
-  LockWordRelease(tree, 0);
-  return st;
-}
-
-// ---- Index handlers --------------------------------------------------------
+// ---- Index handlers: parse, run the shared op, charge ----------------------
 
 Status MemNodeExecutor::HandleIdxGet(Slice req, std::string* resp,
                                      RpcServerContext* sctx) {
@@ -354,30 +250,14 @@ Status MemNodeExecutor::HandleIdxGet(Slice req, std::string* resp,
   if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
     return Status::InvalidArgument("malformed exec.idx.get");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.lookups++;
-  }
-  uint64_t visited = 0;
-  BTreeNodeImage leaf;
-  Descend(tree, key, nullptr, &leaf, &visited);
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
-  for (uint32_t i = 0; i < leaf.nkeys; i++) {
-    if (leaf.keys[i] == key) {
-      PutFixed64(resp, leaf.vals[i]);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("key not in tree");
+  DISAGG_ASSIGN_OR_RETURN(RemoteBTree::TreeRef tree,
+                          FindTree(tree_id, &Stats::lookups));
+  RegionAccess a(fabric_, pool_, tree);
+  Result<uint64_t> value = btree::Get(a, key);
+  ChargeTraversal(sctx, a.visited, a.splits, 0);
+  if (!value.ok()) return value.status();
+  PutFixed64(resp, *value);
+  return Status::OK();
 }
 
 Status MemNodeExecutor::HandleIdxScan(Slice req, std::string* resp,
@@ -388,32 +268,11 @@ Status MemNodeExecutor::HandleIdxScan(Slice req, std::string* resp,
       !GetVarint64(&req, &limit)) {
     return Status::InvalidArgument("malformed exec.idx.scan");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.scans++;
-  }
-  uint64_t visited = 0;
-  BTreeNodeImage leaf;
-  Descend(tree, from, nullptr, &leaf, &visited);
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  while (out.size() < limit) {
-    for (uint32_t i = 0; i < leaf.nkeys && out.size() < limit; i++) {
-      if (leaf.keys[i] >= from) out.emplace_back(leaf.keys[i], leaf.vals[i]);
-    }
-    if (leaf.next == 0 || out.size() >= limit) break;
-    LoadNode(tree, leaf.next, &leaf, &visited);
-  }
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited +
-                      offload::kEntryNs * out.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
+  DISAGG_ASSIGN_OR_RETURN(RemoteBTree::TreeRef tree,
+                          FindTree(tree_id, &Stats::scans));
+  RegionAccess a(fabric_, pool_, tree);
+  DISAGG_ASSIGN_OR_RETURN(btree::KeyValues out, btree::Scan(a, from, limit));
+  ChargeTraversal(sctx, a.visited, a.splits, out.size());
   PutVarint64(resp, out.size());
   for (const auto& [k, v] : out) {
     PutFixed64(resp, k);
@@ -431,47 +290,11 @@ Status MemNodeExecutor::HandleIdxPut(Slice req, std::string* resp,
       !GetFixed64(&req, &value)) {
     return Status::InvalidArgument("malformed exec.idx.put");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.inserts++;
-  }
-  uint64_t visited = 0;
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, &visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, slot));
-    // Re-read under the lock (the image may have changed since the descent).
-    LoadNode(tree, leaf_off, &leaf, &visited);
-    for (uint32_t i = 0; i < leaf.nkeys; i++) {
-      if (leaf.keys[i] == key) {
-        leaf.vals[i] = value;
-        StoreNode(tree, leaf_off, &leaf);
-        LockWordRelease(tree, slot);
-        return Status::OK();
-      }
-    }
-    if (leaf.nkeys < BTreeNodeImage::kFanout) {
-      InsertIntoNode(&leaf, key, value);
-      StoreNode(tree, leaf_off, &leaf);
-      LockWordRelease(tree, slot);
-      return Status::OK();
-    }
-    LockWordRelease(tree, slot);
-    return InsertWithSplit(tree, key, value, &visited);
-  }();
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
+  DISAGG_ASSIGN_OR_RETURN(RemoteBTree::TreeRef tree,
+                          FindTree(tree_id, &Stats::inserts));
+  RegionAccess a(fabric_, pool_, tree);
+  Status st = btree::Put(a, key, value);
+  ChargeTraversal(sctx, a.visited, a.splits, 0);
   return st;
 }
 
@@ -483,115 +306,18 @@ Status MemNodeExecutor::HandleIdxDelete(Slice req, std::string* resp,
   if (!GetVarint64(&req, &tree_id) || !GetFixed64(&req, &key)) {
     return Status::InvalidArgument("malformed exec.idx.del");
   }
-  RemoteBTree::TreeRef tree;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tree_id >= trees_.size()) {
-      return Status::InvalidArgument("unknown tree id");
-    }
-    tree = trees_[tree_id];
-    stats_.deletes++;
-  }
-  uint64_t visited = 0;
-  Status st = [&]() -> Status {
-    std::vector<uint64_t> path;
-    BTreeNodeImage leaf;
-    Descend(tree, key, &path, &leaf, &visited);
-    const uint64_t leaf_off = path.back();
-    const uint64_t slot = BTreeLockSlot(leaf_off, tree.lock_slots);
-    DISAGG_RETURN_NOT_OK(LockWordAcquire(tree, slot));
-    LoadNode(tree, leaf_off, &leaf, &visited);
-    Status inner = Status::NotFound("key not in tree");
-    for (uint32_t i = 0; i < leaf.nkeys; i++) {
-      if (leaf.keys[i] == key) {
-        for (uint32_t j = i; j + 1 < leaf.nkeys; j++) {
-          leaf.keys[j] = leaf.keys[j + 1];
-          leaf.vals[j] = leaf.vals[j + 1];
-        }
-        leaf.nkeys--;  // no merging: leaves may run underfull, as in Sherman
-        StoreNode(tree, leaf_off, &leaf);
-        inner = Status::OK();
-        break;
-      }
-    }
-    LockWordRelease(tree, slot);
-    return inner;
-  }();
-  sctx->ChargeCompute(offload::kDispatchNs + offload::kNodeVisitNs * visited);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.nodes_visited += visited;
-  }
+  DISAGG_ASSIGN_OR_RETURN(RemoteBTree::TreeRef tree,
+                          FindTree(tree_id, &Stats::deletes));
+  RegionAccess a(fabric_, pool_, tree);
+  Status st = btree::Delete(a, key);
+  ChargeTraversal(sctx, a.visited, a.splits, 0);
   return st;
 }
 
-// ---- WOUND_WAIT lock table -------------------------------------------------
-
-LockOutcome MemNodeExecutor::AcquireLocked(TxnId txn, uint64_t key,
-                                           uint8_t mode) {
-  LockEntry& e = lock_table_[key];
-  auto track = [&](bool newly_held) {
-    TxnState& ts = txns_[txn];
-    if (ts.epoch == 0) ts.epoch = epoch_;
-    if (newly_held) ts.keys.push_back(key);
-    stats_.grants++;
-  };
-  // WOUND_WAIT: age is the TxnId (monotonic from Begin — lower = older).
-  // An older requester wounds every younger conflicting holder and then
-  // waits (Busy-retry here: no blocking on an RPC server); a younger
-  // requester just waits. The oldest live txn is never wounded, so some
-  // txn always makes progress — no deadlock, no wedge.
-  auto conflict_with = [&](const std::vector<TxnId>& holders) {
-    stats_.conflicts++;
-    for (TxnId h : holders) {
-      if (txn < h && wounded_.insert(h).second) stats_.wounds++;
-    }
-    if (lock_table_[key].sharers.empty() && lock_table_[key].exclusive == 0) {
-      lock_table_.erase(key);
-    }
-    return LockOutcome::kConflict;
-  };
-
-  if (mode == offload::kModeShared) {
-    if (e.exclusive != 0 && e.exclusive != txn) {
-      return conflict_with({e.exclusive});
-    }
-    track(e.sharers.insert(txn).second);
-    return LockOutcome::kGranted;
-  }
-  // Exclusive.
-  if (e.exclusive != 0) {
-    if (e.exclusive == txn) {
-      stats_.grants++;
-      return LockOutcome::kGranted;
-    }
-    return conflict_with({e.exclusive});
-  }
-  std::vector<TxnId> others;
-  for (TxnId sharer : e.sharers) {
-    if (sharer != txn) others.push_back(sharer);
-  }
-  if (!others.empty()) return conflict_with(others);
-  const bool newly_held = e.sharers.erase(txn) == 0;
-  e.exclusive = txn;
-  track(newly_held);
-  return LockOutcome::kGranted;
-}
+// ---- WOUND_WAIT over the S/X table ------------------------------------------
 
 void MemNodeExecutor::ReleaseTxnLocked(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it != txns_.end()) {
-    for (uint64_t key : it->second.keys) {
-      auto te = lock_table_.find(key);
-      if (te == lock_table_.end()) continue;
-      te->second.sharers.erase(txn);
-      if (te->second.exclusive == txn) te->second.exclusive = 0;
-      if (te->second.sharers.empty() && te->second.exclusive == 0) {
-        lock_table_.erase(te);
-      }
-    }
-    txns_.erase(it);
-  }
+  locks_->ReleaseAll(txn);
   wounded_.erase(txn);
   stats_.releases++;
 }
@@ -633,7 +359,24 @@ Status MemNodeExecutor::HandleLockAcquire(Slice req, std::string* resp,
     outcome = LockOutcome::kWounded;  // wound notice piggybacked on the reply
     stats_.wounded_observed++;
   } else {
-    outcome = AcquireLocked(txn, key, mode);
+    std::vector<TxnId> holders;
+    const LockMode lm = mode == offload::kModeShared ? LockMode::kShared
+                                                     : LockMode::kExclusive;
+    if (locks_->Acquire(txn, key, lm, &holders).ok()) {
+      outcome = LockOutcome::kGranted;
+      stats_.grants++;
+    } else {
+      // WOUND_WAIT: age is the TxnId (monotonic from Begin — lower =
+      // older). An older requester wounds every younger conflicting holder
+      // and then waits (Busy-retry here: no blocking on an RPC server); a
+      // younger requester just waits. The oldest live txn is never
+      // wounded, so some txn always makes progress — no deadlock, no wedge.
+      outcome = LockOutcome::kConflict;
+      stats_.conflicts++;
+      for (TxnId h : holders) {
+        if (txn < h && wounded_.insert(h).second) stats_.wounds++;
+      }
+    }
   }
   resp->push_back(static_cast<char>(outcome));
   PutVarint64(resp, epoch_);

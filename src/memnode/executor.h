@@ -6,12 +6,13 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "memnode/memory_node.h"
 #include "memnode/offload_protocol.h"
 #include "rindex/remote_btree.h"
-#include "txn/lock_backend.h"
+#include "txn/lock_manager.h"
 
 namespace disagg {
 
@@ -20,17 +21,20 @@ class LeaseAuthority;  // net/membership.h
 /// Near-data concurrency offload (SmartOffloading / Farview direction): an
 /// RPC-hosted executor on the memory node's wimpy CPU that runs
 ///
-///  - **B+tree traversal**: `exec.idx.{get,scan,put,del}` walk the SAME
-///    on-pool node bytes a one-sided `RemoteBTree` client reads, but server
-///    side — one `Call` verb per operation instead of O(depth) one-sided
-///    reads (plus CAS/unlock round trips for writers). Writers take the
-///    SAME lock words via region-local atomics, so offloaded and one-sided
-///    clients interoperate on a live tree.
-///  - **a lock-table service**: `exec.lock.{acquire,release}` implement
-///    S/X row locks with WOUND_WAIT deadlock avoidance (lower TxnId =
-///    older = wins). Wound notices ride replies; there is no blocking —
-///    a waiting requester sees `kConflict` (maps to Busy) and retries,
-///    a wounded txn sees `kWounded` (maps to Aborted) and must abort.
+///  - **B+tree traversal**: `exec.idx.{get,scan,put,del}` run the SAME
+///    algorithms a one-sided `RemoteBTree` client runs (`btree_ops.h`) over
+///    the SAME on-pool node bytes, but server side with region-local
+///    memcpy and atomics — one `Call` verb per operation instead of
+///    O(depth) one-sided reads (plus CAS/unlock round trips for writers).
+///    Writers take the SAME lock words, so offloaded and one-sided clients
+///    interoperate on a live tree.
+///  - **a lock-table service**: `exec.lock.{acquire,release}` keep S/X row
+///    locks in a `LockManager` (the compute side's table) and layer
+///    WOUND_WAIT deadlock avoidance on the holders it reports for a
+///    refused request (lower TxnId = older = wins). Wound notices ride
+///    replies; there is no blocking — a waiting requester sees
+///    `kConflict` (maps to Busy) and retries, a wounded txn sees
+///    `kWounded` (maps to Aborted) and must abort.
 ///
 /// Every handler charges the weak-CPU model of `offload_protocol.h` via
 /// `RpcServerContext::ChargeCompute`, which the fabric scales by the pool
@@ -100,19 +104,10 @@ class MemNodeExecutor {
   void BindLeaseAuthority(const LeaseAuthority* authority);
 
   uint64_t epoch() const;
-  size_t active_locks() const;  ///< lock-table entries currently held
+  size_t active_locks() const;  ///< keys currently locked
   Stats stats() const;
 
  private:
-  struct LockEntry {
-    std::set<TxnId> sharers;
-    TxnId exclusive = 0;  // 0 = none
-  };
-  struct TxnState {
-    uint64_t epoch = 0;           // epoch of the txn's first grant
-    std::vector<uint64_t> keys;   // keys it holds (dedup'd)
-  };
-
   Status HandleIdxGet(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleIdxScan(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleIdxPut(Slice req, std::string* resp, RpcServerContext* sctx);
@@ -125,37 +120,25 @@ class MemNodeExecutor {
   /// Crash-point check shared by every handler; returns Unavailable when a
   /// scheduled crash fires on this invocation.
   Status CheckAlive();
+  /// Registered tree `id`, counting one request in `stats_.*op`.
+  Result<RemoteBTree::TreeRef> FindTree(uint64_t id, uint64_t Stats::*op);
+  /// Charges a finished traversal to the weak-CPU model and folds its node
+  /// visits and splits into the stats.
+  void ChargeTraversal(RpcServerContext* sctx, uint64_t visited,
+                       uint64_t splits, size_t entries);
 
-  // ---- Region-local B+tree walker (no fabric verbs: handlers must not
-  // re-enter the pipeline; see the fabric-bypass rule in DESIGN.md) -------
-  char* TreeBase(const RemoteBTree::TreeRef& tree);
-  uint64_t LoadRoot(const RemoteBTree::TreeRef& tree);
-  void LoadNode(const RemoteBTree::TreeRef& tree, uint64_t offset,
-                BTreeNodeImage* out, uint64_t* visited);
-  void StoreNode(const RemoteBTree::TreeRef& tree, uint64_t offset,
-                 BTreeNodeImage* node);
-  /// Spins on the shared lock word via region-local atomics (interoperates
-  /// with one-sided CAS); Busy on starvation, per the status contract.
-  Status LockWordAcquire(const RemoteBTree::TreeRef& tree, uint64_t slot);
-  void LockWordRelease(const RemoteBTree::TreeRef& tree, uint64_t slot);
-  /// Descends to the leaf owning `key`; appends the path offsets.
-  void Descend(const RemoteBTree::TreeRef& tree, uint64_t key,
-               std::vector<uint64_t>* path, BTreeNodeImage* leaf,
-               uint64_t* visited);
-  Status InsertWithSplit(const RemoteBTree::TreeRef& tree, uint64_t key,
-                         uint64_t value, uint64_t* visited);
-
-  // ---- WOUND_WAIT lock table (all under mu_) ----------------------------
-  offload::LockOutcome AcquireLocked(TxnId txn, uint64_t key, uint8_t mode);
+  // ---- Lock service (all under mu_) -------------------------------------
+  void CrashLocked();
+  /// Voids every grant and bumps the epoch: recovery and lease re-fence.
+  void VoidGrantsLocked();
   void ReleaseTxnLocked(TxnId txn);
 
   Fabric* fabric_;
   MemoryNode* pool_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // taken before locks_'s own mutex
   std::vector<RemoteBTree::TreeRef> trees_;
-  std::map<uint64_t, LockEntry> lock_table_;
-  std::map<TxnId, TxnState> txns_;
+  std::unique_ptr<LockManager> locks_ = std::make_unique<LockManager>();
   std::set<TxnId> wounded_;
   uint64_t epoch_ = 1;
   uint64_t crash_after_ = 0;  // 0 = disarmed

@@ -99,6 +99,11 @@ Status PmClient::WritePersistOneSided(NetContext* ctx, GlobalAddr addr,
 
 Status PmClient::WritePersistRpc(NetContext* ctx, GlobalAddr addr,
                                  Slice data) {
+  // The wire format carries only the offset: the server persists into its
+  // pool region, so an address anywhere else is refused before any verb.
+  if (addr.node != pm_->node() || addr.region != pm_->region()) {
+    return Status::InvalidArgument("persist RPC addresses only the PM pool");
+  }
   std::string req;
   PutVarint64(&req, addr.offset);
   PutLengthPrefixedSlice(&req, data);

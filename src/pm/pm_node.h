@@ -87,7 +87,8 @@ class PmClient {
   Status WritePersistOneSided(NetContext* ctx, GlobalAddr addr, Slice data);
 
   /// Two-sided persist: a single RPC; the server-side CPU stores and
-  /// persists (ntstore+fence). One round trip total.
+  /// persists (ntstore+fence). One round trip total. Only the PM pool
+  /// region is addressable this way: any other `addr` is InvalidArgument.
   Status WritePersistRpc(NetContext* ctx, GlobalAddr addr, Slice data);
 
   /// Remote PM read over RDMA (Exadata's fast path).

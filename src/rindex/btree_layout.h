@@ -6,12 +6,10 @@
 
 namespace disagg {
 
-/// On-pool B+tree node image shared by the one-sided client
-/// (`RemoteBTree`) and the memory-node executor's server-side walker
-/// (`MemNodeExecutor`). POD, memcpy'd wholesale; the two protocols operate
-/// on the SAME bytes, so the layout lives here and both include it — a
-/// one-sided traversal and an offloaded traversal of one tree must agree
-/// field for field.
+/// On-pool B+tree node image that the algorithms of `btree_ops.h` operate
+/// on, whether the one-sided client (`RemoteBTree`) or the memory-node
+/// executor (`MemNodeExecutor`) runs them. POD, memcpy'd wholesale; both
+/// protocols touch the SAME bytes of one tree.
 struct BTreeNodeImage {
   static constexpr size_t kFanout = 32;
 
@@ -26,10 +24,10 @@ struct BTreeNodeImage {
 
 inline constexpr size_t kBTreeNodeBytes = sizeof(BTreeNodeImage);
 
-/// Lock-table slot for a node offset. Slot 0 is the SMO lock; nodes hash
-/// into the remaining `lock_slots` words. Shared so the executor's
-/// region-local CAS takes exactly the lock word a one-sided client would
-/// CAS over the fabric — the two protocols interoperate on live trees.
+/// Lock-table slot for a node offset. Slot 0 (offset 0) is the SMO lock;
+/// nodes hash into the remaining `lock_slots` words. The executor's
+/// region-local CAS takes exactly the lock word a one-sided client CASes
+/// over the fabric — the two protocols interoperate on live trees.
 inline uint64_t BTreeLockSlot(uint64_t node_offset, uint64_t lock_slots) {
   return node_offset == 0
              ? 0

@@ -18,8 +18,9 @@ enum class LockMode { kShared, kExclusive };
 ///    table every engine used before the offload seam — `ctx` is ignored,
 ///    acquisition costs nothing on the fabric.
 ///  - `OffloadedLockClient` (src/memnode/executor.h): each acquire/release
-///    is one RPC to the memory-node executor's WOUND_WAIT lock table,
-///    charged against the weak-CPU model and the full fabric pipeline.
+///    is one RPC to the memory-node executor, which keeps the locks in a
+///    `LockManager` of its own and adds WOUND_WAIT, charged against the
+///    weak-CPU model and the full fabric pipeline.
 ///
 /// Status contract (src/net/verb.h): conflict paths return `Busy`
 /// (abort-and-retry), a wound or a post-crash epoch fence returns

@@ -2,29 +2,28 @@
 
 namespace disagg {
 
-Status LockManager::Acquire(TxnId txn, uint64_t key, Mode mode) {
+Status LockManager::Acquire(TxnId txn, uint64_t key, Mode mode,
+                            std::vector<TxnId>* holders) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (holders != nullptr) holders->clear();
   Entry& e = table_[key];
+  if (e.exclusive != 0 && e.exclusive != txn) {
+    if (holders != nullptr) holders->push_back(e.exclusive);
+    return Status::Busy("X-lock held by another transaction");
+  }
   if (mode == Mode::kShared) {
-    if (e.exclusive != 0 && e.exclusive != txn) {
-      conflicts_++;
-      return Status::Busy("X-lock held by another transaction");
-    }
     if (e.sharers.insert(txn).second) held_[txn].push_back(key);
     return Status::OK();
   }
-  // Exclusive.
-  if (e.exclusive != 0) {
-    if (e.exclusive == txn) return Status::OK();
-    conflicts_++;
-    return Status::Busy("X-lock held by another transaction");
-  }
+  if (e.exclusive == txn) return Status::OK();
   // Upgrade allowed only when we are the sole sharer.
-  for (TxnId sharer : e.sharers) {
-    if (sharer != txn) {
-      conflicts_++;
-      return Status::Busy("S-lock held by another txn");
+  if (e.sharers.size() > e.sharers.count(txn)) {
+    if (holders != nullptr) {
+      for (TxnId sharer : e.sharers) {
+        if (sharer != txn) holders->push_back(sharer);
+      }
     }
+    return Status::Busy("S-lock held by another txn");
   }
   const bool newly_held = e.sharers.erase(txn) == 0;
   e.exclusive = txn;
@@ -50,14 +49,7 @@ void LockManager::ReleaseAll(TxnId txn) {
 
 size_t LockManager::held_locks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [txn, keys] : held_) n += keys.size();
-  return n;
-}
-
-uint64_t LockManager::conflicts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return conflicts_;
+  return table_.size();
 }
 
 }  // namespace disagg

@@ -19,7 +19,8 @@ namespace disagg {
 /// settings where blocking a remote caller is worse than restarting it.
 ///
 /// The compute-local `LockBackend`: `ctx` is ignored, acquisition touches
-/// no fabric. The offloaded alternative lives at the memory node
+/// no fabric. The memory-node executor keeps its lock service in one of
+/// these too, layering WOUND_WAIT on the holders a refusal reports
 /// (`OffloadedLockClient`, src/memnode/executor.h).
 class LockManager : public LockBackend {
  public:
@@ -27,8 +28,11 @@ class LockManager : public LockBackend {
 
   /// Acquires (or upgrades) `key` for `txn`. Every conflict path returns
   /// Status::Busy — never TimedOut/Aborted — so callers' retry loops can
-  /// key on IsBusy() alone (the contract concurrency_test exercises).
-  Status Acquire(TxnId txn, uint64_t key, Mode mode);
+  /// key on IsBusy() alone (the contract concurrency_test exercises). When
+  /// `holders` is non-null it is cleared and, on Busy, receives the txns
+  /// blocking the request in ascending id order.
+  Status Acquire(TxnId txn, uint64_t key, Mode mode,
+                 std::vector<TxnId>* holders = nullptr);
 
   /// Releases everything `txn` holds (commit/abort).
   void ReleaseAll(TxnId txn);
@@ -44,10 +48,8 @@ class LockManager : public LockBackend {
     ReleaseAll(txn);
   }
 
+  /// Keys currently locked by at least one transaction.
   size_t held_locks() const;
-
-  /// Conflicting acquisitions rejected with Busy since construction.
-  uint64_t conflicts() const;
 
  private:
   struct Entry {
@@ -58,7 +60,6 @@ class LockManager : public LockBackend {
   mutable std::mutex mu_;
   std::map<uint64_t, Entry> table_;
   std::map<TxnId, std::vector<uint64_t>> held_;
-  uint64_t conflicts_ = 0;
 };
 
 }  // namespace disagg

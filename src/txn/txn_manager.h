@@ -23,25 +23,18 @@ class TxnManager {
   /// `RowEngine::AdoptConcurrencyOffload`). Config-time only: call before
   /// any transaction begins.
   void set_lock_backend(LockBackend* locks) { locks_ = locks; }
-  LockBackend* lock_backend() { return locks_; }
 
   TxnId Begin();
 
   /// Lock helpers (no-wait: Busy means "abort and retry"; Aborted means the
   /// memory-node lock table wounded or fenced this txn — abort, don't
   /// retry the same txn id). `ctx` carries the fabric charge for offloaded
-  /// backends; the ctx-less overloads serve local-backend callers.
+  /// backends; pass nullptr only for a local backend.
   Status LockShared(NetContext* ctx, TxnId txn, uint64_t key) {
     return locks_->AcquireLock(ctx, txn, key, LockMode::kShared);
   }
   Status LockExclusive(NetContext* ctx, TxnId txn, uint64_t key) {
     return locks_->AcquireLock(ctx, txn, key, LockMode::kExclusive);
-  }
-  Status LockShared(TxnId txn, uint64_t key) {
-    return LockShared(nullptr, txn, key);
-  }
-  Status LockExclusive(TxnId txn, uint64_t key) {
-    return LockExclusive(nullptr, txn, key);
   }
 
   /// WAL wrappers; each returns the stamped LSN the caller must put on the
@@ -62,7 +55,6 @@ class TxnManager {
   /// are the engine's job (it knows the re-insert slot): call LogClr, then
   /// EndAbort. A rollback with no deletes ends the WAL chain here.
   std::vector<LogRecord> Abort(NetContext* ctx, TxnId txn);
-  std::vector<LogRecord> Abort(TxnId txn) { return Abort(nullptr, txn); }
 
   /// Ends an aborted transaction's WAL chain once the engine has logged its
   /// delete-undo CLRs. A no-op if Abort already ended it.
@@ -73,7 +65,6 @@ class TxnManager {
   /// flush, no quorum round-trip. The caller guarantees the transaction
   /// performed no Log* calls (any tracked undo is dropped, not rolled back).
   void EndReadOnly(NetContext* ctx, TxnId txn);
-  void EndReadOnly(TxnId txn) { EndReadOnly(nullptr, txn); }
 
   /// Logs one CLR describing a rollback action the engine performed
   /// (empty `restored_image` = the slot was deleted again).

@@ -78,7 +78,7 @@ TEST_P(CrashRecoveryPropertyTest, RecoverAtEveryCrashPointMatchesModel) {
         for (uint16_t s : slots) committed_live[page].push_back(s);
       }
     } else {
-      (void)tm.Abort(txn);
+      (void)tm.Abort(nullptr, txn);
       ASSERT_TRUE(wal.Flush(&ctx).ok());
     }
   }

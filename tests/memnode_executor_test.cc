@@ -96,6 +96,71 @@ TEST(MemNodeExecutorTest, OffloadSemanticEquivalence) {
   EXPECT_GT(b.exec.stats().splits, 0u);
 }
 
+// One node of a tree as both protocols must build it: everything but the
+// child offsets, which come from different allocators.
+struct NodeShape {
+  uint32_t level;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> leaf_vals;
+  bool operator==(const NodeShape&) const = default;
+};
+
+void WalkShape(const char* base, uint64_t offset,
+               std::vector<NodeShape>* out) {
+  BTreeNodeImage n;
+  std::memcpy(&n, base + offset, sizeof(n));
+  out->push_back({n.level, {n.keys, n.keys + n.nkeys}, {}});
+  if (n.level == 0) {
+    out->back().leaf_vals.assign(n.vals, n.vals + n.nkeys);
+    return;
+  }
+  for (uint32_t i = 0; i < n.nkeys; i++) WalkShape(base, n.vals[i], out);
+}
+
+std::vector<NodeShape> TreeShape(OffloadRig& rig) {
+  NetContext ctx;
+  auto root = rig.fabric.ReadAtomic64(&ctx, rig.tree_ref.root_ptr);
+  EXPECT_TRUE(root.ok());
+  std::vector<NodeShape> out;
+  WalkShape(rig.fabric.node(rig.tree_ref.root_ptr.node)
+                ->region(rig.tree_ref.root_ptr.region)
+                ->data(),
+            *root, &out);
+  return out;
+}
+
+// Both protocols run the same split code, so one op stream that splits
+// leaves and internal nodes and grows the root twice must leave the same
+// tree, node for node, whichever protocol applied it.
+TEST(MemNodeExecutorTest, ProtocolsBuildStructurallyIdenticalTrees) {
+  OffloadRig a, b;
+  RemoteBTree one_sided = a.OneSided();
+  RemoteBTree offloaded = b.Offloaded();
+  NetContext ca, cb;
+  Random rng(7);
+  for (int i = 0; i < 4000; i++) {
+    const uint64_t k = rng.Uniform(3000);
+    if (rng.NextDouble() < 0.85) {
+      ASSERT_EQ(one_sided.Put(&ca, k, i + 1).code(),
+                offloaded.Put(&cb, k, i + 1).code())
+          << "op " << i;
+    } else {
+      ASSERT_EQ(one_sided.Delete(&ca, k).code(),
+                offloaded.Delete(&cb, k).code())
+          << "op " << i;
+    }
+  }
+  const std::vector<NodeShape> sa = TreeShape(a);
+  const std::vector<NodeShape> sb = TreeShape(b);
+  ASSERT_EQ(sa.size(), sb.size());
+  EXPECT_GE(sa[0].level, 2u);  // an internal node split: the root grew twice
+  for (size_t i = 0; i < sa.size(); i++) {
+    EXPECT_TRUE(sa[i] == sb[i]) << "node " << i << " (level " << sa[i].level
+                                << " vs " << sb[i].level << ")";
+  }
+  EXPECT_EQ(one_sided.stats().splits, b.exec.stats().splits);
+}
+
 // One-sided and offloaded handles operate on the SAME tree bytes under the
 // SAME lock words: writes through either protocol are visible to the other.
 TEST(MemNodeExecutorTest, ProtocolsInteroperateOnLiveTree) {

@@ -90,6 +90,32 @@ TEST_F(PmNodeTest, RejectedUnsafeWriteStagesNothing) {
   EXPECT_TRUE(std::string(region->data(), region->size()) == before);
 }
 
+// The persist RPC carries only an offset and the server writes its pool
+// region, so an address in another region or on another node must be
+// refused on the client — otherwise it would land in the pool.
+TEST_F(PmNodeTest, PersistRpcRefusesAddressOutsideThePool) {
+  GlobalAddr addr = Alloc(16);
+  ASSERT_TRUE(client_.WritePersistRpc(&ctx_, addr, "KEEP").ok());
+  MemoryRegion* pool = fabric_.node(pm_.node())->region(pm_.region());
+  MemoryRegion* other = fabric_.node(pm_.node())->AddRegion("other", 4096);
+  const std::string before(pool->data(), pool->size());
+  const uint64_t rpcs = ctx_.rpcs;
+  const uint64_t sim_ns = ctx_.sim_ns;
+
+  const GlobalAddr other_region{pm_.node(), other->id(), addr.offset};
+  EXPECT_TRUE(client_.WritePersistRpc(&ctx_, other_region, "XXXX")
+                  .IsInvalidArgument());
+  GlobalAddr other_node = addr;
+  other_node.node = pm_.node() + 1;
+  EXPECT_TRUE(
+      client_.WritePersistRpc(&ctx_, other_node, "YYYY").IsInvalidArgument());
+
+  EXPECT_EQ(ctx_.rpcs, rpcs);  // refused before any verb
+  EXPECT_EQ(ctx_.sim_ns, sim_ns);
+  EXPECT_TRUE(std::string(pool->data(), pool->size()) == before);
+  EXPECT_EQ(std::string(other->data(), 4), std::string(4, '\0'));
+}
+
 TEST_F(PmNodeTest, TwoSidedPersistBeatsOneSidedPersist) {
   // Kalia et al.'s counterintuitive result: the RPC path (1 round trip,
   // server-side persist) is faster than WRITE + flush-READ (2 round trips).

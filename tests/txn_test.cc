@@ -38,6 +38,35 @@ TEST(LockManagerTest, UpgradeOnlyWhenSoleSharer) {
   EXPECT_TRUE(lm.Acquire(1, 5, LockManager::Mode::kExclusive).IsBusy());
 }
 
+// The holders out-parameter names exactly the txns blocking a refusal (the
+// set the memory-node executor's WOUND_WAIT wounds) and none on a grant.
+TEST(LockManagerTest, RefusalReportsBlockingHolders) {
+  using Mode = LockManager::Mode;
+  LockManager lm;
+  std::vector<TxnId> holders = {99};
+  ASSERT_TRUE(lm.Acquire(3, 1, Mode::kShared, &holders).ok());
+  EXPECT_TRUE(holders.empty());
+  ASSERT_TRUE(lm.Acquire(5, 1, Mode::kShared, &holders).ok());
+  // X over two sharers lists both; a sharer's upgrade lists the other.
+  EXPECT_TRUE(lm.Acquire(2, 1, Mode::kExclusive, &holders).IsBusy());
+  EXPECT_EQ(holders, (std::vector<TxnId>{3, 5}));
+  EXPECT_TRUE(lm.Acquire(3, 1, Mode::kExclusive, &holders).IsBusy());
+  EXPECT_EQ(holders, (std::vector<TxnId>{5}));
+  // S (or X) over an X lists the holder.
+  ASSERT_TRUE(lm.Acquire(4, 2, Mode::kExclusive, &holders).ok());
+  EXPECT_TRUE(lm.Acquire(1, 2, Mode::kShared, &holders).IsBusy());
+  EXPECT_EQ(holders, (std::vector<TxnId>{4}));
+  EXPECT_TRUE(lm.Acquire(6, 2, Mode::kExclusive, &holders).IsBusy());
+  EXPECT_EQ(holders, (std::vector<TxnId>{4}));
+  // A re-grant lists none.
+  EXPECT_TRUE(lm.Acquire(4, 2, Mode::kExclusive, &holders).ok());
+  EXPECT_TRUE(holders.empty());
+  holders = {99};
+  EXPECT_TRUE(lm.Acquire(5, 1, Mode::kShared, &holders).ok());
+  EXPECT_TRUE(holders.empty());
+  EXPECT_EQ(lm.held_locks(), 2u);
+}
+
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
   LockManager lm;
   EXPECT_TRUE(lm.Acquire(1, 1, LockManager::Mode::kExclusive).ok());
@@ -80,11 +109,11 @@ TEST(WalManagerTest, EndedTransactionsLeaveNoChainHead) {
         ASSERT_TRUE(tm.Commit(&ctx, t).ok());
         break;
       case 1:
-        (void)tm.Abort(t);  // no delete undo: Abort ends the chain
+        (void)tm.Abort(nullptr, t);  // no delete undo: Abort ends the chain
         break;
       case 2: {
         (void)tm.LogDelete(t, 1, 0, "b");
-        (void)tm.Abort(t);
+        (void)tm.Abort(nullptr, t);
         // The engine's delete-undo CLR still chains onto the abort record.
         const Lsn abort_lsn = wal.LastLsnOf(t);
         ASSERT_NE(abort_lsn, kInvalidLsn);
@@ -98,7 +127,7 @@ TEST(WalManagerTest, EndedTransactionsLeaveNoChainHead) {
         break;
       }
       default:
-        tm.EndReadOnly(t);
+        tm.EndReadOnly(nullptr, t);
         break;
     }
     EXPECT_EQ(wal.LastLsnOf(t), kInvalidLsn);
@@ -150,7 +179,7 @@ class TxnManagerTest : public ::testing::Test {
 
 TEST_F(TxnManagerTest, CommitFlushesAndReleases) {
   const TxnId t = tm_.Begin();
-  ASSERT_TRUE(tm_.LockExclusive(t, 42).ok());
+  ASSERT_TRUE(tm_.LockExclusive(nullptr, t, 42).ok());
   tm_.LogInsert(t, 1, 0, "row");
   ASSERT_TRUE(tm_.Commit(&ctx_, t).ok());
   EXPECT_EQ(locks_.held_locks(), 0u);
@@ -162,7 +191,7 @@ TEST_F(TxnManagerTest, AbortReturnsUndoNewestFirst) {
   const TxnId t = tm_.Begin();
   tm_.LogInsert(t, 1, 0, "v0");
   tm_.LogUpdate(t, 1, 0, "v0", "v1");
-  auto undo = tm_.Abort(t);
+  auto undo = tm_.Abort(nullptr, t);
   ASSERT_EQ(undo.size(), 2u);
   EXPECT_EQ(undo[0].type, LogType::kUpdate);
   EXPECT_EQ(undo[0].undo_payload, "v0");
@@ -173,12 +202,12 @@ TEST_F(TxnManagerTest, AbortReturnsUndoNewestFirst) {
 TEST_F(TxnManagerTest, NoWaitConflictAbortsSecondTxn) {
   const TxnId t1 = tm_.Begin();
   const TxnId t2 = tm_.Begin();
-  ASSERT_TRUE(tm_.LockExclusive(t1, 7).ok());
-  EXPECT_TRUE(tm_.LockExclusive(t2, 7).IsBusy());
-  (void)tm_.Abort(t2);
+  ASSERT_TRUE(tm_.LockExclusive(nullptr, t1, 7).ok());
+  EXPECT_TRUE(tm_.LockExclusive(nullptr, t2, 7).IsBusy());
+  (void)tm_.Abort(nullptr, t2);
   ASSERT_TRUE(tm_.Commit(&ctx_, t1).ok());
   const TxnId t3 = tm_.Begin();
-  EXPECT_TRUE(tm_.LockExclusive(t3, 7).ok());
+  EXPECT_TRUE(tm_.LockExclusive(nullptr, t3, 7).ok());
 }
 
 // --- ARIES recovery -------------------------------------------------------
