@@ -27,7 +27,79 @@ std::vector<NodeId> TagReplicas(const std::vector<NodeId>& members,
   for (size_t i = 0; i < r; i++) out.push_back(members[(p + i) % n]);
   return out;
 }
+
+// The varint fields every slog request and answer is made of (a batch, if
+// any, follows them).
+std::string Varints(std::initializer_list<uint64_t> fields) {
+  std::string out;
+  for (uint64_t f : fields) PutVarint64(&out, f);
+  return out;
+}
+bool GetVarints(Slice* in, std::initializer_list<uint64_t*> fields) {
+  for (uint64_t* f : fields) {
+    if (!GetVarint64(in, f)) return false;
+  }
+  return true;
+}
+
+// A member list on the wire: its size, then each node id.
+void PutMembers(std::string* dst, const std::vector<NodeId>& members) {
+  PutVarint64(dst, members.size());
+  for (NodeId m : members) PutVarint64(dst, m);
+}
+bool GetMembers(Slice* in, std::vector<NodeId>* members) {
+  uint64_t n = 0, m = 0;
+  if (!GetVarint64(in, &n)) return false;
+  for (uint64_t i = 0; i < n; i++) {
+    if (!GetVarint64(in, &m)) return false;
+    members->push_back(static_cast<NodeId>(m));
+  }
+  return true;
+}
+
+// One suffix copy, shared by the backup gap resync and the reconfigure
+// refill: reads `tag`'s records after seqnum `from` on `src` and pastes the
+// slog.read answer's batch, bytes unchanged, into a slog.replicate to `dest`
+// at the same seqnums, with the trim watermark (`trimmed`, `trimmed_lsn`).
+// An empty suffix is sent only if `send_empty`. Returns `dest`'s tail
+// seqnum, or kInvalidSeqNum when nothing was sent.
+Result<SeqNum> CopySuffix(Fabric* fabric, NetContext* ctx, uint64_t epoch,
+                          LogTag tag, NodeId src, SeqNum from, NodeId dest,
+                          SeqNum trimmed, Lsn trimmed_lsn, bool send_empty) {
+  // No LSN bound, the whole suffix.
+  const std::string read_req = Varints({epoch, tag, from, 0, ~0ull});
+  std::string resp;
+  DISAGG_RETURN_NOT_OK(fabric->Call(ctx, src, "slog.read", read_req, &resp));
+  Slice batch(resp);
+  uint64_t base = 0, count = 0;
+  if (!GetVarint64(&batch, &base)) return Status::Corruption("slog.read");
+  Slice peek = batch;  // the batch's record count, left in place
+  if (!GetVarint64(&peek, &count)) return Status::Corruption("slog.read");
+  if (count == 0 && !send_empty) return kInvalidSeqNum;
+  std::string rep_req = Varints({epoch, tag, base, trimmed, trimmed_lsn});
+  rep_req.append(batch.data(), batch.size());
+  DISAGG_RETURN_NOT_OK(
+      fabric->Call(ctx, dest, "slog.replicate", rep_req, &resp));
+  Slice in(resp);
+  uint64_t tail = 0;
+  if (!GetVarint64(&in, &tail)) return Status::Corruption("slog.replicate");
+  return tail;
+}
 }  // namespace
+
+size_t SharedLogService::TagStore::IndexAfter(SeqNum seq) const {
+  const SeqNum before_first = tail_seq - log.size();
+  return seq <= before_first ? 0 : std::min(seq - before_first, log.size());
+}
+
+Lsn SharedLogService::TagStore::TrimTo(SeqNum up_to) {
+  const size_t cut = IndexAfter(up_to);
+  const Lsn dropped = cut == 0 ? kInvalidLsn : log.lsn(cut - 1);
+  log.DropPrefix(cut);
+  trimmed = up_to;
+  if (tail_seq < trimmed) tail_seq = trimmed;
+  return dropped;
+}
 
 // ---------------------------------------------------------------------------
 // SharedLogService
@@ -43,6 +115,16 @@ SharedLogService::SharedLogService(Fabric* fabric, const Config& config,
                                             RpcServerContext* sctx) {
         return HandleView(req, resp, sctx);
       });
+  using Handler = Status (SharedLogService::*)(NodeState*, Slice, std::string*,
+                                               RpcServerContext*);
+  static constexpr std::pair<const char*, Handler> kHandlers[] = {
+      {"slog.append", &SharedLogService::HandleAppend},
+      {"slog.replicate", &SharedLogService::HandleReplicate},
+      {"slog.read", &SharedLogService::HandleRead},
+      {"slog.tail", &SharedLogService::HandleTail},
+      {"slog.trim", &SharedLogService::HandleTrim},
+      {"slog.seal", &SharedLogService::HandleSeal},
+      {"slog.install", &SharedLogService::HandleInstall}};
   for (int i = 0; i < config_.log_nodes; i++) {
     auto ns = std::make_unique<NodeState>();
     ns->node = fabric_->AddNode(name_prefix + "-" + std::to_string(i),
@@ -50,43 +132,17 @@ SharedLogService::SharedLogService(Fabric* fabric, const Config& config,
                                 static_cast<uint32_t>(i));
     fabric_->node(ns->node)->set_cpu_scale(2.0);  // wimpy log-tier CPU
     ns->epoch = 1;
-    RegisterHandlers(ns.get());
+    for (const auto& [method, handler] : kHandlers) {
+      fabric_->node(ns->node)->RegisterHandler(
+          method, [this, state = ns.get(), h = handler](
+                      Slice req, std::string* resp, RpcServerContext* sctx) {
+            return (this->*h)(state, req, resp, sctx);
+          });
+    }
     members_.push_back(ns->node);
     nodes_.push_back(std::move(ns));
   }
   for (auto& ns : nodes_) ns->members = members_;
-}
-
-void SharedLogService::RegisterHandlers(NodeState* ns) {
-  Node* n = fabric_->node(ns->node);
-  n->RegisterHandler("slog.append", [this, ns](Slice req, std::string* resp,
-                                               RpcServerContext* sctx) {
-    return HandleAppend(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.replicate", [this, ns](Slice req, std::string* resp,
-                                                  RpcServerContext* sctx) {
-    return HandleReplicate(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.read", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleRead(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.tail", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleTail(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.trim", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleTrim(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.seal", [this, ns](Slice req, std::string* resp,
-                                             RpcServerContext* sctx) {
-    return HandleSeal(ns, req, resp, sctx);
-  });
-  n->RegisterHandler("slog.install", [this, ns](Slice req, std::string* resp,
-                                                RpcServerContext* sctx) {
-    return HandleInstall(ns, req, resp, sctx);
-  });
 }
 
 uint64_t SharedLogService::epoch() const {
@@ -101,8 +157,9 @@ Status SharedLogService::HandleAppend(NodeState* ns, Slice req,
   if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag)) {
     return Status::InvalidArgument("malformed slog.append");
   }
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
+  // The whole batch is checked before anything is stored.
+  std::vector<EncodedRecord> batch;
+  DISAGG_RETURN_NOT_OK(LogRecord::SplitBatch(req, &batch));
   std::lock_guard<std::mutex> lock(ns->mu);
   if (e != ns->epoch || ns->epoch <= ns->sealed_epoch) {
     return Status::Aborted("stale or sealed epoch");
@@ -113,22 +170,16 @@ Status SharedLogService::HandleAppend(NodeState* ns, Slice req,
   }
   TagStore& ts = ns->tags[tag];
   uint64_t stored = 0;
-  SeqNum base = kInvalidSeqNum;
-  for (LogRecord& r : *batch) {
+  for (const EncodedRecord& r : batch) {
     if (r.lsn <= ts.tail_lsn) continue;  // idempotent re-send
-    const SeqNum seq = ts.tail_seq + 1;
-    if (stored == 0) base = seq;
     ts.tail_lsn = r.lsn;
-    ts.records.emplace_back(seq, std::move(r));
-    ts.tail_seq = seq;
+    ts.log.Append(r);
     stored++;
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
-  resp->clear();
-  PutVarint64(resp, stored);
-  PutVarint64(resp, ts.tail_seq);
-  PutVarint64(resp, ts.tail_lsn);
-  PutVarint64(resp, base);
+  ts.tail_seq += stored;
+  const SeqNum base = stored == 0 ? kInvalidSeqNum : ts.tail_seq - stored + 1;
+  sctx->ChargeCompute(kAppendNsPerRecord * batch.size());
+  *resp = Varints({stored, ts.tail_seq, ts.tail_lsn, base});
   return Status::OK();
 }
 
@@ -136,61 +187,45 @@ Status SharedLogService::HandleReplicate(NodeState* ns, Slice req,
                                          std::string* resp,
                                          RpcServerContext* sctx) {
   uint64_t e = 0, tag = 0, base = 0, trimmed = 0, trimmed_lsn = 0;
-  if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag) ||
-      !GetVarint64(&req, &base) || !GetVarint64(&req, &trimmed) ||
-      !GetVarint64(&req, &trimmed_lsn)) {
+  if (!GetVarints(&req, {&e, &tag, &base, &trimmed, &trimmed_lsn})) {
     return Status::InvalidArgument("malformed slog.replicate");
   }
-  auto batch = LogRecord::DecodeBatch(req);
-  if (!batch.ok()) return batch.status();
+  std::vector<EncodedRecord> batch;
+  DISAGG_RETURN_NOT_OK(LogRecord::SplitBatch(req, &batch));
   std::lock_guard<std::mutex> lock(ns->mu);
   if (e != ns->epoch || ns->epoch <= ns->sealed_epoch) {
     return Status::Aborted("stale or sealed epoch");
   }
   TagStore& ts = ns->tags[tag];
   if (trimmed > ts.trimmed) {
-    ts.trimmed = trimmed;
-    ts.trimmed_lsn = std::max(ts.trimmed_lsn, static_cast<Lsn>(trimmed_lsn));
-    if (ts.tail_seq < ts.trimmed) ts.tail_seq = ts.trimmed;
-    while (!ts.records.empty() && ts.records.front().first <= ts.trimmed) {
-      ts.records.erase(ts.records.begin());
-    }
+    ts.TrimTo(trimmed);
+    ts.trimmed_lsn = std::max(ts.trimmed_lsn, trimmed_lsn);
   }
-  uint64_t i = 0;
-  for (LogRecord& r : *batch) {
-    const SeqNum seq = base + i++;
+  for (size_t i = 0; i < batch.size(); i++) {
+    const SeqNum seq = base + i;
     if (seq <= ts.tail_seq) continue;    // idempotent re-send
     if (seq != ts.tail_seq + 1) break;   // gap: caller must resync first
-    ts.tail_lsn = r.lsn;
-    ts.records.emplace_back(seq, std::move(r));
+    ts.tail_lsn = batch[i].lsn;
+    ts.log.Append(batch[i]);
     ts.tail_seq = seq;
   }
-  sctx->ChargeCompute(kAppendNsPerRecord * batch->size());
-  resp->clear();
-  PutVarint64(resp, ts.tail_seq);
+  sctx->ChargeCompute(kAppendNsPerRecord * batch.size());
+  *resp = Varints({ts.tail_seq});
   return Status::OK();
 }
 
 Status SharedLogService::HandleRead(NodeState* ns, Slice req,
                                     std::string* resp, RpcServerContext* sctx) {
   uint64_t e = 0, tag = 0, from_seq = 0, from_lsn = 0, max_records = 0;
-  if (!GetVarint64(&req, &e) || !GetVarint64(&req, &tag) ||
-      !GetVarint64(&req, &from_seq) || !GetVarint64(&req, &from_lsn) ||
-      !GetVarint64(&req, &max_records)) {
+  if (!GetVarints(&req, {&e, &tag, &from_seq, &from_lsn, &max_records})) {
     return Status::InvalidArgument("malformed slog.read");
   }
   std::lock_guard<std::mutex> lock(ns->mu);
   if (e != ns->epoch) return Status::Aborted("stale epoch");
+  static const TagStore kNoRecords;
   auto it = ns->tags.find(tag);
-  if (it == ns->tags.end()) {
-    sctx->ChargeCompute(kScanNsPerRecord);
-    resp->clear();
-    PutVarint64(resp, kInvalidSeqNum);
-    *resp += LogRecord::EncodeBatch({});
-    return Status::OK();
-  }
-  const TagStore& ts = it->second;
-  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.records.size()));
+  const TagStore& ts = it == ns->tags.end() ? kNoRecords : it->second;
+  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.log.size()));
   // Retention: a range reaching below the trim watermark cannot be served
   // completely — fail loudly instead of silently returning a gapped suffix.
   if (from_seq < ts.trimmed && from_lsn == 0) {
@@ -199,17 +234,13 @@ Status SharedLogService::HandleRead(NodeState* ns, Slice req,
   if (from_lsn > 0 && from_lsn < ts.trimmed_lsn) {
     return Status::NotFound("slog.read below trim point");
   }
-  std::vector<LogRecord> out;
-  SeqNum out_base = kInvalidSeqNum;
-  for (const auto& [seq, rec] : ts.records) {
-    if (seq <= from_seq || rec.lsn <= from_lsn) continue;
-    if (out.empty()) out_base = seq;
-    out.push_back(rec);
-    if (out.size() >= max_records) break;
-  }
-  resp->clear();
-  PutVarint64(resp, out_base);
-  *resp += LogRecord::EncodeBatch(out);
+  const size_t first =
+      std::max(ts.IndexAfter(from_seq), ts.log.FirstAfter(from_lsn));
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(max_records, ts.log.size() - first));
+  *resp = Varints(
+      {n == 0 ? kInvalidSeqNum : ts.tail_seq - ts.log.size() + 1 + first});
+  ts.log.AppendBatchTo(first, n, resp);
   return Status::OK();
 }
 
@@ -223,9 +254,9 @@ Status SharedLogService::HandleTail(NodeState* ns, Slice req,
   if (e != ns->epoch) return Status::Aborted("stale epoch");
   sctx->ChargeCompute(kScanNsPerRecord);  // one index probe
   auto it = ns->tags.find(tag);
-  resp->clear();
-  PutVarint64(resp, it == ns->tags.end() ? kInvalidSeqNum : it->second.tail_seq);
-  PutVarint64(resp, it == ns->tags.end() ? kInvalidLsn : it->second.tail_lsn);
+  *resp = it == ns->tags.end()
+              ? Varints({kInvalidSeqNum, kInvalidLsn})
+              : Varints({it->second.tail_seq, it->second.tail_lsn});
   return Status::OK();
 }
 
@@ -237,14 +268,9 @@ Status SharedLogService::HandleTrim(NodeState* ns, Slice req,
   }
   std::lock_guard<std::mutex> lock(ns->mu);
   TagStore& ts = ns->tags[tag];
-  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.records.size()));
+  sctx->ChargeCompute(kScanNsPerRecord * std::max<size_t>(1, ts.log.size()));
   if (up_to > ts.trimmed) {
-    ts.trimmed = up_to;
-    if (ts.tail_seq < ts.trimmed) ts.tail_seq = ts.trimmed;
-    while (!ts.records.empty() && ts.records.front().first <= ts.trimmed) {
-      ts.trimmed_lsn = std::max(ts.trimmed_lsn, ts.records.front().second.lsn);
-      ts.records.erase(ts.records.begin());
-    }
+    ts.trimmed_lsn = std::max(ts.trimmed_lsn, ts.TrimTo(up_to));
   }
   resp->clear();
   return Status::OK();
@@ -256,15 +282,10 @@ Status SharedLogService::HandleSeal(NodeState* ns, Slice req,
   std::lock_guard<std::mutex> lock(ns->mu);
   ns->sealed_epoch = std::max(ns->sealed_epoch, ns->epoch);
   sctx->ChargeCompute(kCtlNs + kScanNsPerRecord * ns->tags.size());
-  resp->clear();
-  PutVarint64(resp, ns->epoch);
-  PutVarint64(resp, ns->tags.size());
+  *resp = Varints({ns->epoch, ns->tags.size()});
   for (const auto& [tag, ts] : ns->tags) {
-    PutVarint64(resp, tag);
-    PutVarint64(resp, ts.tail_seq);
-    PutVarint64(resp, ts.tail_lsn);
-    PutVarint64(resp, ts.trimmed);
-    PutVarint64(resp, ts.trimmed_lsn);
+    *resp += Varints(
+        {tag, ts.tail_seq, ts.tail_lsn, ts.trimmed, ts.trimmed_lsn});
   }
   return Status::OK();
 }
@@ -272,17 +293,10 @@ Status SharedLogService::HandleSeal(NodeState* ns, Slice req,
 Status SharedLogService::HandleInstall(NodeState* ns, Slice req,
                                        std::string* resp,
                                        RpcServerContext* sctx) {
-  uint64_t e = 0, n = 0;
-  if (!GetVarint64(&req, &e) || !GetVarint64(&req, &n)) {
-    return Status::InvalidArgument("malformed slog.install");
-  }
+  uint64_t e = 0;
   std::vector<NodeId> members;
-  for (uint64_t i = 0; i < n; i++) {
-    uint64_t m = 0;
-    if (!GetVarint64(&req, &m)) {
-      return Status::InvalidArgument("malformed slog.install");
-    }
-    members.push_back(static_cast<NodeId>(m));
+  if (!GetVarint64(&req, &e) || !GetMembers(&req, &members)) {
+    return Status::InvalidArgument("malformed slog.install");
   }
   std::lock_guard<std::mutex> lock(ns->mu);
   ns->epoch = e;  // > sealed_epoch, so the node is open for the new view
@@ -297,12 +311,9 @@ Status SharedLogService::HandleView(Slice req, std::string* resp,
   (void)req;
   std::lock_guard<std::mutex> lock(view_mu_);
   sctx->ChargeCompute(kCtlNs);
-  resp->clear();
-  PutVarint64(resp, epoch_);
-  PutVarint64(resp, static_cast<uint64_t>(config_.replication));
-  PutVarint64(resp, static_cast<uint64_t>(config_.write_quorum));
-  PutVarint64(resp, members_.size());
-  for (NodeId m : members_) PutVarint64(resp, m);
+  *resp = Varints({epoch_, static_cast<uint64_t>(config_.replication),
+                   static_cast<uint64_t>(config_.write_quorum)});
+  PutMembers(resp, members_);
   return Status::OK();
 }
 
@@ -325,27 +336,21 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
     Lsn trimmed_lsn = kInvalidLsn;
   };
   std::map<LogTag, std::map<NodeId, TailInfo>> tails;
-  uint64_t max_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    max_epoch = epoch_;
-  }
+  uint64_t max_epoch = epoch();
   for (NodeState* ns : live) {
     std::string resp;
-    Status st = fabric_->Call(ctx, ns->node, "slog.seal", "", &resp);
-    if (!st.ok()) return st;
+    DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, ns->node, "slog.seal", "", &resp));
     Slice in(resp);
     uint64_t node_epoch = 0, ntags = 0;
-    if (!GetVarint64(&in, &node_epoch) || !GetVarint64(&in, &ntags)) {
+    if (!GetVarints(&in, {&node_epoch, &ntags})) {
       return Status::Corruption("slog.seal response");
     }
     max_epoch = std::max(max_epoch, node_epoch);
     for (uint64_t i = 0; i < ntags; i++) {
       uint64_t tag = 0;
       TailInfo info;
-      if (!GetVarint64(&in, &tag) || !GetVarint64(&in, &info.tail) ||
-          !GetVarint64(&in, &info.tail_lsn) || !GetVarint64(&in, &info.trimmed) ||
-          !GetVarint64(&in, &info.trimmed_lsn)) {
+      if (!GetVarints(&in, {&tag, &info.tail, &info.tail_lsn, &info.trimmed,
+                            &info.trimmed_lsn})) {
         return Status::Corruption("slog.seal response");
       }
       tails[tag][ns->node] = info;
@@ -356,14 +361,12 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
   for (NodeState* ns : live) new_members.push_back(ns->node);
 
   // 3. Install the new view on every live node (opens them for new_epoch).
-  std::string inst;
-  PutVarint64(&inst, new_epoch);
-  PutVarint64(&inst, new_members.size());
-  for (NodeId m : new_members) PutVarint64(&inst, m);
+  std::string inst = Varints({new_epoch});
+  PutMembers(&inst, new_members);
   for (NodeState* ns : live) {
     std::string resp;
-    Status st = fabric_->Call(ctx, ns->node, "slog.install", inst, &resp);
-    if (!st.ok()) return st;
+    DISAGG_RETURN_NOT_OK(
+        fabric_->Call(ctx, ns->node, "slog.install", inst, &resp));
   }
 
   // 4. Recover each tag: its tail is the max across live nodes (suffixes
@@ -371,16 +374,10 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
   //    WAL's maybe-committed region and is safe to keep), and every replica
   //    in the tag's new placement is brought up to that tail.
   for (const auto& [tag, per_node] : tails) {
-    NodeId src = 0;
-    TailInfo best;
-    bool first = true;
-    for (const auto& [node, info] : per_node) {
-      if (first || info.tail > best.tail) {
-        src = node;
-        best = info;
-        first = false;
-      }
-    }
+    const auto& [src, best] = *std::max_element(
+        per_node.begin(), per_node.end(), [](const auto& a, const auto& b) {
+          return a.second.tail < b.second.tail;
+        });
     const std::vector<NodeId> replicas =
         TagReplicas(new_members, tag, config_.replication);
     for (NodeId dest : replicas) {
@@ -388,32 +385,13 @@ Status SharedLogService::SealAndReconfigure(NetContext* ctx) {
       auto it = per_node.find(dest);
       if (it != per_node.end()) dinfo = it->second;
       if (dest == src || dinfo.tail >= best.tail) continue;
-      const SeqNum from = std::max(dinfo.tail, best.trimmed);
-      std::string read_req;
-      PutVarint64(&read_req, new_epoch);
-      PutVarint64(&read_req, tag);
-      PutVarint64(&read_req, from);
-      PutVarint64(&read_req, 0);     // no LSN bound
-      PutVarint64(&read_req, ~0ull);  // full suffix
-      std::string read_resp;
-      Status st = fabric_->Call(ctx, src, "slog.read", read_req, &read_resp);
-      if (!st.ok()) return st;
-      Slice in(read_resp);
-      uint64_t base = 0;
-      if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read");
-      auto recs = LogRecord::DecodeBatch(in);
-      if (!recs.ok()) return recs.status();
-      if (recs->empty() && best.trimmed <= dinfo.trimmed) continue;
-      std::string rep_req;
-      PutVarint64(&rep_req, new_epoch);
-      PutVarint64(&rep_req, tag);
-      PutVarint64(&rep_req, base);
-      PutVarint64(&rep_req, best.trimmed);
-      PutVarint64(&rep_req, best.trimmed_lsn);
-      rep_req += LogRecord::EncodeBatch(*recs);
-      std::string rep_resp;
-      st = fabric_->Call(ctx, dest, "slog.replicate", rep_req, &rep_resp);
-      if (!st.ok()) return st;
+      // The watermark travels with the suffix; an empty suffix is only
+      // worth sending to move it.
+      auto copied = CopySuffix(fabric_, ctx, new_epoch, tag, src,
+                               std::max(dinfo.tail, best.trimmed), dest,
+                               best.trimmed, best.trimmed_lsn,
+                               /*send_empty=*/best.trimmed > dinfo.trimmed);
+      if (!copied.ok()) return copied.status();
     }
   }
 
@@ -459,23 +437,15 @@ Status SharedLogClient::EnsureView(NetContext* ctx) {
 
 Status SharedLogClient::RefreshView(NetContext* ctx) {
   std::string resp;
-  Status st = fabric_->Call(ctx, ctl_, "slog.view", "", &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, ctl_, "slog.view", "", &resp));
   Slice in(resp);
-  uint64_t epoch = 0, repl = 0, w = 0, n = 0;
-  if (!GetVarint64(&in, &epoch) || !GetVarint64(&in, &repl) ||
-      !GetVarint64(&in, &w) || !GetVarint64(&in, &n)) {
+  uint64_t repl = 0, w = 0;
+  View v;
+  if (!GetVarints(&in, {&v.epoch, &repl, &w}) || !GetMembers(&in, &v.members)) {
     return Status::Corruption("slog.view response");
   }
-  View v;
-  v.epoch = epoch;
   v.replication = static_cast<int>(repl);
   v.write_quorum = static_cast<int>(w);
-  for (uint64_t i = 0; i < n; i++) {
-    uint64_t m = 0;
-    if (!GetVarint64(&in, &m)) return Status::Corruption("slog.view response");
-    v.members.push_back(static_cast<NodeId>(m));
-  }
   view_ = std::move(v);
   return Status::OK();
 }
@@ -484,31 +454,35 @@ std::vector<NodeId> SharedLogClient::ReplicasFor(LogTag tag) const {
   return TagReplicas(view_.members, tag, view_.replication);
 }
 
+Status SharedLogClient::PrimaryAttempt(NetContext* ctx, LogTag tag,
+                                       const std::string& method, Slice body,
+                                       std::string* resp, bool* retry) {
+  *retry = false;
+  DISAGG_RETURN_NOT_OK(EnsureView(ctx));
+  const std::vector<NodeId> replicas = ReplicasFor(tag);
+  if (replicas.empty()) return Status::Unavailable("shared log: empty view");
+  std::string req = Varints({view_.epoch, tag});
+  req.append(body.data(), body.size());
+  Status st = fabric_->Call(ctx, replicas[0], method, req, resp);
+  // Epoch staleness and primary crashes are view problems: refresh and
+  // retry, since a reconfigure will have installed a new primary for the
+  // tag. Everything else (NotFound below trim, TimedOut, ...) is the
+  // caller's answer.
+  if (st.ok() || (!st.IsAborted() && !st.IsUnavailable())) return st;
+  DISAGG_RETURN_NOT_OK(RefreshView(ctx));
+  *retry = true;
+  return st;
+}
+
 Status SharedLogClient::CallPrimary(NetContext* ctx, LogTag tag,
-                                    const std::string& method,
-                                    const std::string& body,
+                                    const std::string& method, Slice body,
                                     std::string* resp) {
-  Status last = Status::Unavailable("shared log: no view");
-  for (int attempt = 0; attempt < 3; attempt++) {
-    Status st = EnsureView(ctx);
-    if (!st.ok()) return st;
-    const std::vector<NodeId> replicas = ReplicasFor(tag);
-    if (replicas.empty()) return Status::Unavailable("shared log: empty view");
-    std::string req;
-    PutVarint64(&req, view_.epoch);
-    PutVarint64(&req, tag);
-    req += body;
-    st = fabric_->Call(ctx, replicas[0], method, req, resp);
-    if (st.ok()) return st;
-    // Epoch staleness and primary crashes are view problems: refresh and
-    // retry. Everything else (NotFound below trim, TimedOut, ...) is the
-    // caller's answer.
-    if (!st.IsAborted() && !st.IsUnavailable()) return st;
-    last = st;
-    Status r = RefreshView(ctx);
-    if (!r.ok()) return r;
+  Status st;
+  bool retry = true;
+  for (int attempt = 0; attempt < 3 && retry; attempt++) {
+    st = PrimaryAttempt(ctx, tag, method, body, resp, &retry);
   }
-  return last;
+  return st;
 }
 
 Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
@@ -516,51 +490,36 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
   const std::string batch = LogRecord::EncodeBatch(records);
   Status last = Status::Unavailable("shared log: no view");
   for (int attempt = 0; attempt < 3; attempt++) {
-    Status st = EnsureView(ctx);
-    if (!st.ok()) return st;
-    const std::vector<NodeId> replicas = ReplicasFor(tag);
-    if (replicas.empty()) return Status::Unavailable("shared log: empty view");
-    std::string req;
-    PutVarint64(&req, view_.epoch);
-    PutVarint64(&req, tag);
-    req += batch;
     std::string resp;
-    st = fabric_->Call(ctx, replicas[0], "slog.append", req, &resp);
+    bool retry = false;
+    Status st = PrimaryAttempt(ctx, tag, "slog.append", batch, &resp, &retry);
     if (!st.ok()) {
-      // Stale epoch (Aborted) or crashed primary (Unavailable): the view
-      // may have moved — refresh and retry; a reconfigure will have
-      // installed a new primary for the tag.
-      if (!st.IsAborted() && !st.IsUnavailable()) return st;
+      if (!retry) return st;
       last = st;
-      Status r = RefreshView(ctx);
-      if (!r.ok()) return r;
       continue;
     }
     Slice in(resp);
     uint64_t stored = 0, tail_seq = 0, tail_lsn = 0, base = 0;
-    if (!GetVarint64(&in, &stored) || !GetVarint64(&in, &tail_seq) ||
-        !GetVarint64(&in, &tail_lsn) || !GetVarint64(&in, &base)) {
+    if (!GetVarints(&in, {&stored, &tail_seq, &tail_lsn, &base})) {
       return Status::Corruption("slog.append response");
     }
     // The primary deduplicated a (possibly complete) prefix; backups get
-    // exactly the stored suffix at the assigned seqnums. A fully-deduped
-    // re-send (stored == 0) may sit on the primary alone — left there by an
-    // earlier attempt that died below the write quorum — so the fan-out
-    // runs regardless: an empty suffix acts as a tail probe, and the
-    // gap-resync path pulls whatever a lagging backup is missing from the
-    // primary. Returning early on duplicates would declare one copy
+    // exactly the stored suffix at the assigned seqnums, cut from `batch`.
+    // A fully-deduped re-send (stored == 0) may sit on the primary alone —
+    // left there by an earlier attempt that died below the write quorum —
+    // so the fan-out runs regardless: an empty suffix acts as a tail probe,
+    // and the gap resync pulls whatever a lagging backup is missing from
+    // the primary. Returning early on duplicates would declare one copy
     // durable.
-    std::vector<LogRecord> suffix(records.end() - stored, records.end());
-    std::string rep_req;
-    PutVarint64(&rep_req, view_.epoch);
-    PutVarint64(&rep_req, tag);
-    PutVarint64(&rep_req, base);
-    PutVarint64(&rep_req, 0);  // no trim watermark on the append path
-    PutVarint64(&rep_req, 0);
-    rep_req += LogRecord::EncodeBatch(suffix);
+    size_t skip = VarintLength(records.size());
+    for (size_t i = 0; i + stored < records.size(); i++) {
+      skip += records[i].EncodedSize();
+    }
+    // No trim watermark on the append path.
+    std::string rep_req = Varints({view_.epoch, tag, base, 0, 0, stored});
+    rep_req.append(batch, skip, std::string::npos);
 
-    const uint64_t epoch = view_.epoch;
-    const NodeId primary = replicas[0];
+    const std::vector<NodeId> replicas = ReplicasFor(tag);
     auto replicate_to = [&](NetContext* bctx, NodeId backup) -> bool {
       std::string rep_resp;
       if (!fabric_->Call(bctx, backup, "slog.replicate", rep_req, &rep_resp)
@@ -571,37 +530,11 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
       uint64_t btail = 0;
       if (!GetVarint64(&rin, &btail)) return false;
       if (btail >= tail_seq) return true;
-      // The backup is behind (it missed earlier batches): fetch the gap
-      // from the primary and re-send the full missing suffix.
-      std::string read_req;
-      PutVarint64(&read_req, epoch);
-      PutVarint64(&read_req, tag);
-      PutVarint64(&read_req, btail);
-      PutVarint64(&read_req, 0);
-      PutVarint64(&read_req, ~0ull);
-      std::string read_resp;
-      if (!fabric_->Call(bctx, primary, "slog.read", read_req, &read_resp)
-               .ok()) {
-        return false;
-      }
-      Slice in2(read_resp);
-      uint64_t base2 = 0;
-      if (!GetVarint64(&in2, &base2)) return false;
-      auto gap = LogRecord::DecodeBatch(in2);
-      if (!gap.ok()) return false;
-      std::string rep2;
-      PutVarint64(&rep2, epoch);
-      PutVarint64(&rep2, tag);
-      PutVarint64(&rep2, base2);
-      PutVarint64(&rep2, 0);
-      PutVarint64(&rep2, 0);
-      rep2 += LogRecord::EncodeBatch(*gap);
-      if (!fabric_->Call(bctx, backup, "slog.replicate", rep2, &rep_resp)
-               .ok()) {
-        return false;
-      }
-      Slice rin2(rep_resp);
-      return GetVarint64(&rin2, &btail) && btail >= tail_seq;
+      // The backup is behind (it missed earlier batches): copy the gap
+      // from the primary.
+      auto copied = CopySuffix(fabric_, bctx, view_.epoch, tag, replicas[0],
+                               btail, backup, 0, 0, /*send_empty=*/true);
+      return copied.ok() && *copied >= tail_seq;
     };
 
     int acks = 1;  // the primary's copy
@@ -615,39 +548,20 @@ Result<Lsn> SharedLogClient::Append(NetContext* ctx, LogTag tag,
     }
     if (acks >= view_.write_quorum) return static_cast<Lsn>(tail_lsn);
     last = Status::Unavailable("shared log: append below write quorum");
-    Status r = RefreshView(ctx);
-    if (!r.ok()) return r;
+    DISAGG_RETURN_NOT_OK(RefreshView(ctx));
   }
   return last;
 }
 
-Result<std::vector<LogRecord>> SharedLogClient::ReadFrom(NetContext* ctx,
-                                                         LogTag tag,
-                                                         SeqNum from_exclusive,
-                                                         uint64_t max_records) {
-  std::string body;
-  PutVarint64(&body, from_exclusive);
-  PutVarint64(&body, 0);  // no LSN bound
-  PutVarint64(&body, max_records);
+Result<std::vector<LogRecord>> SharedLogClient::Read(NetContext* ctx,
+                                                     LogTag tag,
+                                                     SeqNum from_seq,
+                                                     Lsn from_lsn,
+                                                     uint64_t max_records) {
   std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.read", body, &resp);
-  if (!st.ok()) return st;
-  Slice in(resp);
-  uint64_t base = 0;
-  if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read response");
-  return LogRecord::DecodeBatch(in);
-}
-
-Result<std::vector<LogRecord>> SharedLogClient::ReadFromLsn(NetContext* ctx,
-                                                            LogTag tag,
-                                                            Lsn from_exclusive) {
-  std::string body;
-  PutVarint64(&body, 0);  // no seqnum bound
-  PutVarint64(&body, from_exclusive);
-  PutVarint64(&body, ~0ull);
-  std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.read", body, &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(CallPrimary(ctx, tag, "slog.read",
+                                   Varints({from_seq, from_lsn, max_records}),
+                                   &resp));
   Slice in(resp);
   uint64_t base = 0;
   if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read response");
@@ -657,11 +571,10 @@ Result<std::vector<LogRecord>> SharedLogClient::ReadFromLsn(NetContext* ctx,
 Result<SharedLogClient::TagTail> SharedLogClient::Tail(NetContext* ctx,
                                                        LogTag tag) {
   std::string resp;
-  Status st = CallPrimary(ctx, tag, "slog.tail", "", &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(CallPrimary(ctx, tag, "slog.tail", "", &resp));
   Slice in(resp);
   TagTail t;
-  if (!GetVarint64(&in, &t.seqnum) || !GetVarint64(&in, &t.lsn)) {
+  if (!GetVarints(&in, {&t.seqnum, &t.lsn})) {
     return Status::Corruption("slog.tail response");
   }
   return t;
@@ -674,11 +587,8 @@ Result<SeqNum> SharedLogClient::TailSeqnum(NetContext* ctx, LogTag tag) {
 
 Status SharedLogClient::Trim(NetContext* ctx, LogTag tag,
                              SeqNum up_to_inclusive) {
-  Status st = EnsureView(ctx);
-  if (!st.ok()) return st;
-  std::string req;
-  PutVarint64(&req, tag);
-  PutVarint64(&req, up_to_inclusive);
+  DISAGG_RETURN_NOT_OK(EnsureView(ctx));
+  const std::string req = Varints({tag, up_to_inclusive});
   const std::vector<NodeId> replicas = ReplicasFor(tag);
   if (replicas.empty()) return Status::Unavailable("shared log: empty view");
   size_t oks = 0;

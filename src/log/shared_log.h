@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "net/fabric.h"
+#include "storage/encoded_log.h"
 #include "storage/log_backend.h"
 #include "storage/log_record.h"
 
@@ -42,6 +43,9 @@ constexpr SeqNum kInvalidSeqNum = 0;
 ///   - Tag index: `slog.read` / `slog.tail` serve per-tag suffix reads and
 ///     tail queries; engines map `RequiredPageLsn` freshness floors onto tag
 ///     tail LSNs.
+///   - Redo stays bytes: nodes store each tag as the encoded records they
+///     were sent, and `slog.read` answers with a byte range that re-
+///     replication forwards unchanged. Only client reads decode.
 ///
 /// Node RPCs (all through `Fabric::Execute`, so tracing / faults / retry /
 /// deadlines / breaker / WFQ / congestion apply):
@@ -90,12 +94,21 @@ class SharedLogService {
   SeqNum DebugTailSeqnum(LogTag tag) const;
 
  private:
+  /// One tag on one node. Seqnums are dense, so `log` holds seqnums
+  /// (tail_seq - log.size(), tail_seq]. LSNs ascend with them: primaries
+  /// store only LSNs above the tail, backups copy the primary's seqnums.
   struct TagStore {
-    std::vector<std::pair<SeqNum, LogRecord>> records;  // contiguous seqs
+    EncodedLog log;
     SeqNum tail_seq = kInvalidSeqNum;
     Lsn tail_lsn = kInvalidLsn;
     SeqNum trimmed = kInvalidSeqNum;  ///< seqs <= trimmed are gone
     Lsn trimmed_lsn = kInvalidLsn;    ///< highest LSN among trimmed records
+
+    /// Index in `log` of the first record with seqnum > `seq`.
+    size_t IndexAfter(SeqNum seq) const;
+    /// Raises the watermark to `up_to` (> trimmed), dropping the records at
+    /// or below it in one cut; returns the highest LSN dropped.
+    Lsn TrimTo(SeqNum up_to);
   };
 
   /// One log node's state. Guarded by `mu`; handlers run on the caller's
@@ -109,7 +122,6 @@ class SharedLogService {
     mutable std::mutex mu;
   };
 
-  void RegisterHandlers(NodeState* ns);
   Status HandleAppend(NodeState* ns, Slice req, std::string* resp,
                       RpcServerContext* sctx);
   Status HandleReplicate(NodeState* ns, Slice req, std::string* resp,
@@ -157,11 +169,15 @@ class SharedLogClient {
   /// `max_records`. `NotFound` if the range reaches below the trim point.
   Result<std::vector<LogRecord>> ReadFrom(NetContext* ctx, LogTag tag,
                                           SeqNum from_exclusive,
-                                          uint64_t max_records = 1024);
+                                          uint64_t max_records = 1024) {
+    return Read(ctx, tag, from_exclusive, kInvalidLsn, max_records);
+  }
 
   /// Tag suffix with `lsn > from_exclusive` (the `LogBackend` bound).
   Result<std::vector<LogRecord>> ReadFromLsn(NetContext* ctx, LogTag tag,
-                                             Lsn from_exclusive);
+                                             Lsn from_exclusive) {
+    return Read(ctx, tag, kInvalidSeqNum, from_exclusive, ~0ull);
+  }
 
   struct TagTail {
     SeqNum seqnum = kInvalidSeqNum;
@@ -188,9 +204,17 @@ class SharedLogClient {
   Status EnsureView(NetContext* ctx);
   /// Replica set for `tag` under the cached view, primary first.
   std::vector<NodeId> ReplicasFor(LogTag tag) const;
-  /// One read-style call with epoch refresh-and-retry on Aborted.
+  /// One call of `method` (epoch, tag, `body`) on `tag`'s primary. A stale
+  /// epoch or a crashed primary refreshes the view and sets `*retry`.
+  Status PrimaryAttempt(NetContext* ctx, LogTag tag, const std::string& method,
+                        Slice body, std::string* resp, bool* retry);
+  /// A read-style call: up to three primary attempts.
   Status CallPrimary(NetContext* ctx, LogTag tag, const std::string& method,
-                     const std::string& body, std::string* resp);
+                     Slice body, std::string* resp);
+  /// slog.read of the tag suffix past both exclusive bounds, decoded.
+  Result<std::vector<LogRecord>> Read(NetContext* ctx, LogTag tag,
+                                      SeqNum from_seq, Lsn from_lsn,
+                                      uint64_t max_records);
 
   Fabric* fabric_;
   NodeId ctl_;

@@ -312,13 +312,18 @@ Status Fabric::ExecuteVerb(FabricOp* op, NetContext* ctx) {
     }
 
     case FabricVerb::kWriteBatch: {
-      size_t total = 0;
+      // All-or-nothing, like kBatch: every member is checked before any
+      // data moves.
       for (const WriteOp& w : *op->batch) {
         MemoryRegion* mr = target->region(w.addr.region);
         if (mr == nullptr || !mr->Contains(w.addr.offset, w.n)) {
           return Status::InvalidArgument("batched write out of region bounds");
         }
-        std::memcpy(mr->data() + w.addr.offset, w.src, w.n);
+      }
+      size_t total = 0;
+      for (const WriteOp& w : *op->batch) {
+        std::memcpy(target->region(w.addr.region)->data() + w.addr.offset,
+                    w.src, w.n);
         total += w.n;
       }
       // Doorbell batching: one base latency for the whole batch.

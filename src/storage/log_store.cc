@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/coding.h"
-#include "common/logging.h"
 
 namespace disagg {
 
@@ -16,27 +15,20 @@ constexpr uint64_t kScanNsPerRecord = 40;
 
 LogStoreService::LogStoreService(Fabric* fabric, NodeId node)
     : fabric_(fabric), node_(node) {
-  Node* n = fabric_->node(node_);
-  n->RegisterHandler("log.append",
-                     [this](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
-                       return HandleAppend(req, resp, sctx);
-                     });
-  n->RegisterHandler("log.read",
-                     [this](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
-                       return HandleRead(req, resp, sctx);
-                     });
-  n->RegisterHandler("log.tail",
-                     [this](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
-                       return HandleTail(req, resp, sctx);
-                     });
-  n->RegisterHandler("log.truncate",
-                     [this](Slice req, std::string* resp,
-                            RpcServerContext* sctx) {
-                       return HandleTruncate(req, resp, sctx);
-                     });
+  using Handler = Status (LogStoreService::*)(Slice, std::string*,
+                                              RpcServerContext*);
+  static constexpr std::pair<const char*, Handler> kHandlers[] = {
+      {"log.append", &LogStoreService::HandleAppend},
+      {"log.read", &LogStoreService::HandleRead},
+      {"log.tail", &LogStoreService::HandleTail},
+      {"log.truncate", &LogStoreService::HandleTruncate}};
+  for (const auto& [method, handler] : kHandlers) {
+    fabric_->node(node_)->RegisterHandler(
+        method, [this, h = handler](Slice req, std::string* resp,
+                                    RpcServerContext* sctx) {
+          return (this->*h)(req, resp, sctx);
+        });
+  }
 }
 
 Lsn LogStoreService::durable_lsn() const {
@@ -46,34 +38,12 @@ Lsn LogStoreService::durable_lsn() const {
 
 size_t LogStoreService::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
-}
-
-size_t LogStoreService::FirstAfterLocked(Lsn from) const {
-  return std::upper_bound(index_.begin(), index_.end(), from,
-                          [](Lsn lsn, const IndexEntry& e) {
-                            return lsn < e.lsn;
-                          }) -
-         index_.begin();
-}
-
-size_t LogStoreService::OffsetLocked(size_t i) const {
-  return i == index_.size() ? log_.size() : index_[i].offset;
+  return records_.size();
 }
 
 std::vector<LogRecord> LogStoreService::SnapshotFrom(Lsn from_exclusive) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> out;
-  const size_t first = FirstAfterLocked(from_exclusive);
-  const size_t begin = OffsetLocked(first);
-  Slice in(log_.data() + begin, log_.size() - begin);
-  out.reserve(index_.size() - first);
-  while (!in.empty()) {
-    auto rec = LogRecord::DecodeFrom(&in);
-    DISAGG_CHECK(rec.ok());  // validated when it arrived
-    out.push_back(std::move(rec).value());
-  }
-  return out;
+  return records_.DecodeFrom(records_.FirstAfter(from_exclusive));
 }
 
 Status LogStoreService::HandleAppend(Slice req, std::string* resp,
@@ -85,8 +55,7 @@ Status LogStoreService::HandleAppend(Slice req, std::string* resp,
   for (const EncodedRecord& r : batch_) {
     if (r.lsn <= durable_lsn_) continue;  // idempotent re-send
     durable_lsn_ = r.lsn;
-    index_.push_back({r.lsn, log_.size()});
-    log_.append(r.bytes.data(), r.bytes.size());
+    records_.Append(r);
   }
   sctx->ChargeCompute(kAppendNsPerRecord * batch_.size());
   resp->clear();
@@ -101,14 +70,12 @@ Status LogStoreService::HandleRead(Slice req, std::string* resp,
     return Status::InvalidArgument("malformed log.read");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t first = FirstAfterLocked(from);
+  const size_t first = records_.FirstAfter(from);
   const size_t n = static_cast<size_t>(
-      std::min<uint64_t>(max_records, index_.size() - first));
-  const size_t begin = OffsetLocked(first);
+      std::min<uint64_t>(max_records, records_.size() - first));
   resp->clear();
-  PutVarint64(resp, n);
-  resp->append(log_, begin, OffsetLocked(first + n) - begin);
-  sctx->ChargeCompute(kScanNsPerRecord * index_.size());
+  records_.AppendBatchTo(first, n, resp);
+  sctx->ChargeCompute(kScanNsPerRecord * records_.size());
   return Status::OK();
 }
 
@@ -129,20 +96,15 @@ Status LogStoreService::HandleTruncate(Slice req, std::string* resp,
     return Status::InvalidArgument("malformed log.truncate");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  sctx->ChargeCompute(kScanNsPerRecord * index_.size());
-  const size_t cut = FirstAfterLocked(up_to);
-  const size_t bytes = OffsetLocked(cut);
-  log_.erase(0, bytes);
-  index_.erase(index_.begin(), index_.begin() + cut);
-  for (IndexEntry& e : index_) e.offset -= bytes;
+  sctx->ChargeCompute(kScanNsPerRecord * records_.size());
+  records_.DropPrefix(records_.FirstAfter(up_to));
   resp->clear();
   return Status::OK();
 }
 
 Result<Lsn> LogStoreClient::Append(NetContext* ctx, Slice batch) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.append", batch, &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, node_, "log.append", batch, &resp));
   Slice in(resp);
   uint64_t lsn = 0;
   if (!GetVarint64(&in, &lsn)) return Status::Corruption("append response");
@@ -156,15 +118,13 @@ Result<std::vector<LogRecord>> LogStoreClient::ReadFrom(NetContext* ctx,
   PutVarint64(&req, from_exclusive);
   PutVarint64(&req, max_records);
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.read", req, &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, node_, "log.read", req, &resp));
   return LogRecord::DecodeBatch(resp);
 }
 
 Result<Lsn> LogStoreClient::DurableLsn(NetContext* ctx) {
   std::string resp;
-  Status st = fabric_->Call(ctx, node_, "log.tail", "", &resp);
-  if (!st.ok()) return st;
+  DISAGG_RETURN_NOT_OK(fabric_->Call(ctx, node_, "log.tail", "", &resp));
   Slice in(resp);
   uint64_t lsn = 0;
   if (!GetVarint64(&in, &lsn)) return Status::Corruption("tail response");

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "net/fabric.h"
+#include "storage/encoded_log.h"
 #include "storage/log_record.h"
 
 namespace disagg {
@@ -27,11 +28,10 @@ namespace disagg {
 /// LSN: records with `lsn <= durable_lsn` are dropped on re-send, which is
 /// what makes WAL re-flush after a failed batch safe.
 ///
-/// The service keeps the records as the bytes they arrived as, with one
-/// (lsn, offset) index entry per record: `log.read` answers with a byte
-/// range of that log, `log.truncate` cuts a prefix, and only SnapshotFrom
-/// decodes. All state is behind a mutex; handler compute time is charged to
-/// callers via RpcServerContext.
+/// The service keeps the records as the bytes they arrived as, in an
+/// `EncodedLog`: `log.read` answers with a byte range of it, `log.truncate`
+/// cuts a prefix, and only SnapshotFrom decodes. All state is behind a
+/// mutex; handler compute time is charged to callers via RpcServerContext.
 class LogStoreService {
  public:
   LogStoreService(Fabric* fabric, NodeId node);
@@ -51,21 +51,10 @@ class LogStoreService {
   Status HandleTail(Slice req, std::string* resp, RpcServerContext* sctx);
   Status HandleTruncate(Slice req, std::string* resp, RpcServerContext* sctx);
 
-  struct IndexEntry {
-    Lsn lsn;
-    size_t offset;  // where the record starts in log_
-  };
-
-  // Index of the first record with lsn > `from` (mu_ held).
-  size_t FirstAfterLocked(Lsn from) const;
-  // Byte offset of record `i`; the log's end for i == record count.
-  size_t OffsetLocked(size_t i) const;
-
   Fabric* fabric_;
   NodeId node_;
   mutable std::mutex mu_;
-  std::string log_;                // encoded records, strictly LSN-ascending
-  std::vector<IndexEntry> index_;  // one entry per record in log_
+  EncodedLog records_;                // strictly LSN-ascending
   std::vector<EncodedRecord> batch_;  // HandleAppend scratch (mu_ held)
   Lsn durable_lsn_ = kInvalidLsn;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/coding.h"
-
 namespace disagg {
 
 ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
@@ -28,24 +26,11 @@ ReplicatedSegment::ReplicatedSegment(Fabric* fabric, const Config& config,
   next_idx_.assign(replicas_.size(), 0);
 }
 
-std::string ReplicatedSegment::SuffixBatchLocked(uint64_t from) const {
-  const size_t i = static_cast<size_t>(from - history_base_);
-  const size_t begin =
-      i == history_offsets_.size() ? history_.size() : history_offsets_[i];
-  std::string batch;
-  PutVarint64(&batch, history_offsets_.size() - i);
-  batch.append(history_, begin, std::string::npos);
-  return batch;
-}
-
 Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
                                          const std::vector<LogRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const LogRecord& r : records) {
-    history_offsets_.push_back(history_.size());
-    r.EncodeTo(&history_);
-  }
-  const uint64_t end = history_base_ + history_offsets_.size();
+  for (const LogRecord& r : records) history_.Append(r);
+  const uint64_t end = history_base_ + history_.size();
   size_t fanout = replicas_.size();
 #ifdef DISAGG_CHAOS_MUTATION
   // Chaos-harness self-check mutation: silently skip the last replica and
@@ -65,7 +50,9 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
     // exactly `records`, and every replica shares the first batch built.
     if (next_idx_[i] != batch_from) {
       batch_from = next_idx_[i];
-      batch = SuffixBatchLocked(batch_from);
+      const size_t first = static_cast<size_t>(batch_from - history_base_);
+      batch.clear();
+      history_.AppendBatchTo(first, history_.size() - first, &batch);
     }
     LogStoreClient log_client(fabric_, replicas_[i].node);
     PageStoreClient page_client(fabric_, replicas_[i].node);
@@ -80,8 +67,7 @@ Result<Lsn> ReplicatedSegment::AppendLog(NetContext* ctx,
     acks++;
   }
   if (*std::min_element(next_idx_.begin(), next_idx_.end()) == end) {
-    history_.clear();
-    history_offsets_.clear();
+    history_.Clear();
     history_base_ = end;
   }
   JoinParallel(ctx, branch.data(), branch.size());

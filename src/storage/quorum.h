@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "net/fabric.h"
+#include "storage/encoded_log.h"
 #include "storage/log_store.h"
 #include "storage/page_store.h"
 
@@ -85,10 +86,6 @@ class ReplicatedSegment {
   int CountDurable(Lsn lsn) const;
 
  private:
-  // Encoded batch of history records [from, end of history), as sent on
-  // the wire (mu_ held).
-  std::string SuffixBatchLocked(uint64_t from) const;
-
   Fabric* fabric_;
   Config config_;
   std::vector<SegmentReplica> replicas_;
@@ -99,11 +96,10 @@ class ReplicatedSegment {
   std::vector<Lsn> acked_lsn_;  // per-replica contiguously-acked LSN
   // Client-side append history driving per-replica resync, as encoded
   // records. Indices count records appended since construction; history_
-  // holds records [history_base_, history_base_ + history_offsets_.size()),
-  // every record since all replicas last caught up, so it covers each
-  // replica's un-acked suffix.
-  std::string history_;
-  std::vector<size_t> history_offsets_;  // where each record starts
+  // holds records [history_base_, history_base_ + history_.size()), every
+  // record since all replicas last caught up, so it covers each replica's
+  // un-acked suffix.
+  EncodedLog history_;
   uint64_t history_base_ = 0;
   std::vector<uint64_t> next_idx_;  // per-replica: first index not acked
 };

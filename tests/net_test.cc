@@ -265,6 +265,22 @@ TEST(MemoryRegionTest, EmptyRegionRefusesEveryNonEmptyVerb) {
   EXPECT_TRUE(fabric.ExecuteBatch(&ctx, node, &ops).IsInvalidArgument());
 }
 
+// A doorbell batch is all-or-nothing: a member out of bounds refuses the
+// whole batch before any member's bytes land, and nothing is charged.
+TEST(MemoryRegionTest, RefusedWriteBatchWritesNothing) {
+  Fabric fabric;
+  const NodeId node =
+      fabric.AddNode("mem", NodeKind::kMemory, InterconnectModel::Rdma());
+  MemoryRegion* region = fabric.node(node)->AddRegion("small", 64);
+  const char a[4] = {'A', 'A', 'A', 'A'};
+  std::vector<Fabric::WriteOp> batch = {{{region->id(), 0}, a, 4},
+                                        {{region->id(), 100}, a, 4}};
+  NetContext ctx;
+  EXPECT_TRUE(fabric.WriteBatch(&ctx, node, batch).IsInvalidArgument());
+  EXPECT_EQ(region->data()[0], 0);
+  EXPECT_EQ(ctx.sim_ns, 0u);
+}
+
 TEST(InterconnectTest, LatencyOrderingMatchesPaper) {
   // Sec. 3.3: local < CXL < RDMA; storage media slower still.
   const auto local = InterconnectModel::LocalDram();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "log/shared_log.h"
 #include "sim/chaos.h"
 
@@ -29,6 +30,38 @@ class SharedLogTest : public ::testing::Test {
 
   SharedLogClient Client() {
     return SharedLogClient(&fabric_, service_.ctl_node());
+  }
+
+  // What log node `i` holds for `tag` after seqnum `from`, through a raw
+  // slog.read under the current epoch, so a backup's copy can be checked
+  // and not just the primary's. Charged to its own context.
+  Result<std::vector<LogRecord>> NodeRead(size_t i, LogTag tag, SeqNum from) {
+    std::string req, resp;
+    PutVarint64(&req, service_.epoch());
+    PutVarint64(&req, tag);
+    PutVarint64(&req, from);
+    PutVarint64(&req, 0);
+    PutVarint64(&req, ~0ull);
+    NetContext probe;
+    Status st = fabric_.Call(&probe, service_.log_node(i), "slog.read", req,
+                             &resp);
+    if (!st.ok()) return st;
+    Slice in(resp);
+    uint64_t base = 0;
+    if (!GetVarint64(&in, &base)) return Status::Corruption("slog.read");
+    return LogRecord::DecodeBatch(in);
+  }
+
+  // Node `i`'s records for `tag` must be exactly `want`.
+  void ExpectNodeHolds(size_t i, LogTag tag, SeqNum from,
+                       const std::vector<LogRecord>& want) {
+    auto got = NodeRead(i, tag, from);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), want.size()) << "node " << i;
+    for (size_t k = 0; k < want.size(); k++) {
+      EXPECT_EQ((*got)[k].lsn, want[k].lsn);
+      EXPECT_EQ((*got)[k].payload, want[k].payload);
+    }
   }
 
   Fabric fabric_;
@@ -189,6 +222,114 @@ TEST_F(SharedLogTest, BackendAdapterSpeaksLogBackendContract) {
   ASSERT_TRUE(suffix.ok());
   ASSERT_EQ(suffix->size(), 1u);
   EXPECT_EQ((*suffix)[0].lsn, 3u);
+}
+
+// The three-node default view places tag 1's primary on node 1 and its
+// backups on nodes 2 and 0. The literals below pin every byte and
+// nanosecond of the paths they drive, so a change to what those paths put
+// on the wire fails here.
+
+// A node that missed appends while it was down is refilled when it
+// rejoins: the reconfigure reads the missing suffix from the node with the
+// highest tail and replicates it to the rejoining node at the same seqnums.
+TEST_F(SharedLogTest, ReconfigureRefillsARejoiningNode) {
+  SharedLogClient client = Client();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(1, 2)).ok());
+  fabric_.node(service_.log_node(0))->Fail();
+  ASSERT_TRUE(service_.SealAndReconfigure(&ctx_).ok());
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(3, 4)).ok());
+  EXPECT_EQ(service_.CountDurable(1, 4), 2u);
+
+  fabric_.node(service_.log_node(0))->Revive();
+  NetContext refill;
+  ASSERT_TRUE(service_.SealAndReconfigure(&refill).ok());
+  EXPECT_EQ(service_.CountDurable(1, 4), 3u);
+  ExpectNodeHolds(0, 1, kInvalidSeqNum, Recs(1, 4));
+  EXPECT_EQ(refill.rpcs, 8u);
+  EXPECT_EQ(refill.bytes_out, 59u);
+  EXPECT_EQ(refill.bytes_in, 48u);
+  EXPECT_EQ(refill.sim_ns, 722410u);
+}
+
+// The same refill when the source has trimmed past the rejoining node's
+// tail: the trim watermark travels with the suffix, the rejoining node
+// drops what it held below it, and reads below it answer NotFound there.
+TEST_F(SharedLogTest, ReconfigureRefillCarriesTheTrimWatermark) {
+  SharedLogClient client = Client();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(1, 2)).ok());
+  fabric_.node(service_.log_node(0))->Fail();
+  ASSERT_TRUE(service_.SealAndReconfigure(&ctx_).ok());
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(3, 6)).ok());
+  ASSERT_TRUE(client.Trim(&ctx_, 1, /*up_to_inclusive=*/4).ok());
+
+  fabric_.node(service_.log_node(0))->Revive();
+  NetContext refill;
+  ASSERT_TRUE(service_.SealAndReconfigure(&refill).ok());
+  EXPECT_EQ(service_.CountDurable(1, 6), 3u);
+  EXPECT_TRUE(NodeRead(0, 1, kInvalidSeqNum).status().IsNotFound());
+  ExpectNodeHolds(0, 1, 4, Recs(5, 6));
+  EXPECT_EQ(refill.rpcs, 8u);
+  EXPECT_EQ(refill.bytes_out, 59u);
+  EXPECT_EQ(refill.bytes_in, 48u);
+  EXPECT_EQ(refill.sim_ns, 722250u);
+}
+
+// A backup that missed a batch without any view change is resynced by the
+// next append: its slog.replicate answer shows the gap, the client reads
+// the missing suffix from the primary and replicates it.
+TEST_F(SharedLogTest, AppendResyncsABackupWithAGap) {
+  SharedLogClient client = Client();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(1, 2)).ok());
+  fabric_.node(service_.log_node(0))->Fail();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(3, 4)).ok());
+  fabric_.node(service_.log_node(0))->Revive();
+  EXPECT_EQ(service_.CountDurable(1, 4), 2u);
+
+  NetContext append;
+  auto tail = client.Append(&append, 1, Recs(5, 6));
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(*tail, 6u);
+  EXPECT_EQ(service_.CountDurable(1, 6), 3u);
+  ExpectNodeHolds(0, 1, kInvalidSeqNum, Recs(1, 6));
+  EXPECT_EQ(append.rpcs, 5u);
+  EXPECT_EQ(append.bytes_out, 155u);
+  EXPECT_EQ(append.bytes_in, 57u);
+  EXPECT_EQ(append.sim_ns, 362969u);
+}
+
+// A malformed batch is refused whole: slog.append and slog.replicate check
+// every record before storing any, and a replicate's trim watermark is not
+// applied either. Mirrors
+// LogStoreTest.MalformedAppendIsCorruptionAndChangesNothing.
+TEST_F(SharedLogTest, MalformedBatchesAreCorruptionAndChangeNothing) {
+  SharedLogClient client = Client();
+  ASSERT_TRUE(client.Append(&ctx_, 1, Recs(1, 2)).ok());
+  const std::string whole = LogRecord::EncodeBatch(Recs(3, 4));
+  // The first record is whole and would land if records were stored
+  // before the rest was checked.
+  for (const std::string& bad : {whole.substr(0, whole.size() - 3),
+                                 std::string(), std::string("\x05\x01", 2)}) {
+    std::string append_req, replicate_req, resp;
+    PutVarint64(&append_req, service_.epoch());
+    PutVarint64(&append_req, 1);
+    append_req += bad;
+    EXPECT_TRUE(fabric_.Call(&ctx_, service_.log_node(1), "slog.append",
+                             append_req, &resp)
+                    .IsCorruption());
+    PutVarint64(&replicate_req, service_.epoch());
+    PutVarint64(&replicate_req, 1);
+    PutVarint64(&replicate_req, 3);  // base seqnum
+    PutVarint64(&replicate_req, 2);  // trim watermark
+    PutVarint64(&replicate_req, 2);  // and its LSN
+    replicate_req += bad;
+    EXPECT_TRUE(fabric_.Call(&ctx_, service_.log_node(0), "slog.replicate",
+                             replicate_req, &resp)
+                    .IsCorruption());
+    EXPECT_EQ(service_.DebugTailSeqnum(1), 2u);
+    for (size_t i = 0; i < service_.num_log_nodes(); i++) {
+      ExpectNodeHolds(i, 1, kInvalidSeqNum, Recs(1, 2));
+    }
+  }
 }
 
 // Satellite: same-seed-same-trace determinism for a shared-log engine under
